@@ -232,7 +232,6 @@ private:
     /// the call site's source location so the trap message matches the
     /// VM's (which fails at the Call instruction's loc).
     std::set<int> mayFallOff_;
-    std::uint32_t maxEmits_ = 1;
     bool needOobHelper_ = false; ///< Emitted an ecl_fail_oob call.
     bool needRetHelper_ = false; ///< Emitted an ecl_fail_ret call.
 };
@@ -264,10 +263,8 @@ void Gen::planModuleChunks()
             if (n.predChunk < 0) unsupported("test node without predicate");
             addChunkUse(n.predChunk, ChunkUse::Scalar, nullptr);
         }
-    std::uint32_t outEmits = 0;
     for (const efsm::FlatAction& a : flat_.actions) {
         if (a.kind == efsm::FlatAction::Kind::Emit) {
-            if (a.isOutput) ++outEmits;
             if (a.chunk < 0) continue;
             const SignalInfo& s = valuedSignal(a.signal);
             if (s.valueType->isScalar())
@@ -278,7 +275,6 @@ void Gen::planModuleChunks()
             addChunkUse(a.chunk, ChunkUse::Stmt, nullptr);
         }
     }
-    maxEmits_ = outEmits > 0 ? outEmits : 1;
 }
 
 void Gen::discoverFunctions()
@@ -1206,7 +1202,7 @@ void Gen::emitInfo(std::ostringstream& os) const
        << "    " << sema_.signals.size() << "u, /* signals */\n"
        << "    " << flat_.states.size() << "u, /* states */\n"
        << "    " << flat_.initialState << ", /* initial_state */\n"
-       << "    " << maxEmits_ << "u, /* max_emits */\n"
+       << "    " << flat_.outputRingSlots() << "u, /* max_emits */\n"
        << "    \"" << mod_.name() << "\"\n"
        << "};\n\n";
 }

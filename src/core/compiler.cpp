@@ -14,6 +14,14 @@ CompiledModule::CompiledModule(std::shared_ptr<const SharedProgram> shared,
 {
     sema_ = std::make_unique<ModuleSema>(
         analyzeModule(*flat_, shared_->sema, diags));
+    // Sema caps each type; the instance they sum to is capped here.
+    if (rt::computeInstanceLayout(*sema_).dataBytes > kMaxDataBytes) {
+        const std::string msg = "module '" + flat_->name + "' holds more " +
+                                "than " + std::to_string(kMaxDataBytes) +
+                                " bytes of instance data";
+        diags.error(flat_->loc, msg);
+        throw EclError(flat_->loc, msg);
+    }
     inputs_ = std::make_unique<rt::InputTable>(*sema_);
     reactive_ = std::make_unique<ir::ReactiveProgram>(
         lowerModule(*flat_, *sema_, diags, &lowerStats_));
@@ -119,8 +127,8 @@ CompiledModule::makeExplorer(verify::ExplorerOptions options) const
 {
     auto native = options.nativeSuccessors ? nativeOrNull() : nullptr;
     auto explorer = std::make_unique<verify::Explorer>(
-        *flatProgram_, byteCode_, *sema_, std::move(options));
-    if (native) explorer->attachNative(std::move(native));
+        *flatProgram_, byteCode_, *sema_, std::move(options),
+        std::move(native));
     if (auto self = weak_from_this().lock()) explorer->retain(self);
     return explorer;
 }

@@ -87,7 +87,8 @@
 //
 // Exit codes (asserted by tests/test_eclc_cli.cpp):
 //   0  success; with --verify: state space exhausted, no violation
-//   1  file / parse / semantic errors; an unwritable -o artifact
+//   1  file / parse / semantic errors; an unwritable -o artifact; out
+//      of memory ("eclc: out of memory")
 //   2  usage errors
 //   3  --verify found a violation (counterexample printed + replayed)
 //   4  --verify hit an exploration bound (depth/states/alphabet/memory)
@@ -104,6 +105,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -744,6 +746,9 @@ int main(int argc, char** argv)
         return emitAll(opt, *mod, opt.outPrefix);
     } catch (const ecl::EclError& e) {
         std::fprintf(stderr, "eclc: %s\n", e.what());
+        return kExitError;
+    } catch (const std::bad_alloc&) {
+        std::fprintf(stderr, "eclc: out of memory\n");
         return kExitError;
     }
 }

@@ -163,6 +163,14 @@ std::int32_t SubtreeClasses::of(std::int32_t node)
     return memo;
 }
 
+std::uint32_t FlatProgram::outputRingSlots() const
+{
+    std::uint32_t n = 0;
+    for (const FlatAction& a : actions)
+        n += a.kind == FlatAction::Kind::Emit && a.isOutput;
+    return std::max<std::uint32_t>(n, 1);
+}
+
 std::size_t FlatProgram::remapStates(const std::vector<std::int32_t>& old2new)
 {
     if (old2new.size() != states.size())

@@ -93,6 +93,11 @@ struct FlatProgram {
         return configs[static_cast<std::size_t>(configIndexOf(state))];
     }
 
+    /// Slots a reaction's output ring needs, the generated C's max_emits:
+    /// one per output emit row (a walk runs each row at most once, as
+    /// every node row owns its action range), and at least one.
+    [[nodiscard]] std::uint32_t outputRingSlots() const;
+
     /// Renumbers the machine in place: old state id s becomes old2new[s]
     /// (-1 = state dropped; must not be the initial state). Several old
     /// ids may map to one new id — the lowest old id supplies the

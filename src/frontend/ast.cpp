@@ -73,16 +73,6 @@ const ModuleDecl* Program::findModule(std::string_view name) const
     return nullptr;
 }
 
-const FunctionDecl* Program::findFunction(std::string_view name) const
-{
-    for (const TopDeclPtr& d : decls)
-        if (d->kind == DeclKind::Function) {
-            const auto* f = static_cast<const FunctionDecl*>(d.get());
-            if (f->name == name) return f;
-        }
-    return nullptr;
-}
-
 // ---------------------------------------------------------------------------
 // Cloning
 // ---------------------------------------------------------------------------

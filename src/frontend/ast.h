@@ -495,7 +495,6 @@ struct Program {
 
     /// Returns the module with the given name, or nullptr.
     [[nodiscard]] const ModuleDecl* findModule(std::string_view name) const;
-    [[nodiscard]] const FunctionDecl* findFunction(std::string_view name) const;
 };
 
 // ---------------------------------------------------------------------------

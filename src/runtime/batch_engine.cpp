@@ -23,40 +23,7 @@ constexpr std::size_t kPrefetchAhead = 4;
 // A record holds the VM's ExecCounters as plain bytes.
 static_assert(std::is_trivially_copyable_v<ExecCounters>);
 
-/// reactFlat policy of the batch engine: counts into locals and appends
-/// each emitted output to the worker's event buffer as it is emitted.
-struct EventBookkeeping {
-    std::vector<BatchEngine::StepEvent>& events;
-    std::uint32_t instance;
-    std::uint64_t treeTests = 0;
-    std::uint64_t actionsRun = 0;
-    std::uint64_t emitsRun = 0;
-    bool terminated = false;
-
-    void test() { ++treeTests; }
-    void action() { ++actionsRun; }
-    void emit(int sig, bool output)
-    {
-        ++emitsRun;
-        if (output) events.push_back({instance, sig});
-    }
-    void finish(bool t, const ExecCounters&) { terminated = t; }
-};
-
 } // namespace
-
-// ---------------------------------------------------------------------------
-// Shard: per-worker scratch context
-// ---------------------------------------------------------------------------
-
-BatchEngine::Shard::Shard(std::shared_ptr<const bc::Program> code,
-                          const ModuleSema& sema,
-                          const InstanceLayout& layout,
-                          std::size_t emitRingSlots)
-    : vm(std::move(code), sema, layout.varOffsets, layout.sigOffsets),
-      emitRing(emitRingSlots, 0)
-{
-}
 
 // ---------------------------------------------------------------------------
 // BatchEngine
@@ -67,23 +34,19 @@ BatchEngine::BatchEngine(const efsm::FlatProgram& flat,
                          const ModuleSema& sema, const InputTable& inputs,
                          std::size_t instances, BatchOptions options,
                          std::shared_ptr<const NativeModule> native)
-    : flat_(flat), code_(std::move(code)), sema_(sema), inputs_(inputs),
-      native_(std::move(native))
+    : flat_(flat), sema_(sema), inputs_(inputs)
 {
-    if (!code_)
-        throw EclError("BatchEngine requires the compiled bytecode program");
-
     // Fixed per-instance arena layout (shared with the verification
     // explorer's packed states): variables first, then valued-signal
     // slots, each 8-byte aligned; the whole slice padded to 64 bytes.
     layout_ = computeInstanceLayout(sema_);
 
-    std::size_t emitRingSlots = 1;
-    if (native_) {
-        validateNativeShape(native_->info(), sema_, flat_, layout_);
-        nativeReact_ = native_->react();
-        emitRingSlots = std::max<std::size_t>(native_->info().max_emits, 1);
-    }
+    const int t = std::max(1, options.threads);
+    shards_.reserve(static_cast<std::size_t>(t));
+    for (int w = 0; w < t; ++w)
+        shards_.push_back(std::make_unique<Shard>(
+            Reactor(sema_, flat_, layout_, code, native)));
+    ranges_.resize(static_cast<std::size_t>(t));
 
     // The record: the slice, both presence rows, then the counts, each
     // 8-byte aligned. Only the VM fills ExecCounters, so only its records
@@ -94,14 +57,11 @@ BatchEngine::BatchEngine(const efsm::FlatProgram& flat,
     lastPresentOff_ = align8(presentOff_ + S);
     countsOff_ = align8(lastPresentOff_ + S);
     recordBytes_ = countsOff_ + sizeof(Counts) +
-                   (nativeReact_ ? 0 : sizeof(ExecCounters));
-
-    const int t = std::max(1, options.threads);
-    shards_.reserve(static_cast<std::size_t>(t));
-    for (int w = 0; w < t; ++w)
-        shards_.push_back(std::make_unique<Shard>(
-            code_, sema_, layout_, emitRingSlots));
-    ranges_.resize(static_cast<std::size_t>(t));
+                   (shards_.front()->reactor.dataCounters()
+                        ? sizeof(ExecCounters)
+                        : 0);
+    while (pageShift_ > 0 && (recordBytes_ << pageShift_) > kPageBytes)
+        --pageShift_;
     pool_ = std::make_unique<WorkerPool>(t, [this](int w) { runShard(w); });
 
     for (std::size_t i = 0; i < instances; ++i) addInstance();
@@ -112,9 +72,9 @@ std::size_t BatchEngine::addInstance()
     const std::size_t id = state_.size();
     // Records are zeroed one at a time as instances arrive, so a page
     // costs only the records in use.
-    if ((id & (kPageRecords - 1)) == 0)
+    if ((id & pageMask()) == 0)
         pages_.push_back(std::make_unique_for_overwrite<std::uint8_t[]>(
-            kPageRecords * recordBytes_));
+            recordBytes_ << pageShift_));
     std::memset(record(id), 0, recordBytes_);
     state_.push_back(flat_.initialState);
     instantOpen_.push_back(0);
@@ -263,34 +223,21 @@ void BatchEngine::reactOne(Shard& shard, std::size_t inst)
     instantOpen_[inst] = 0;
     ++shard.reactions;
 
+    // Only a completed reaction gets this far: a trap leaves the previous
+    // presence row and counts in the record, no events and no reacted
+    // mark.
+    const Outcome out = shard.reactor.react(rec, present, state_[inst]);
+    state_[inst] = out.state;
     const auto id = static_cast<std::uint32_t>(inst);
-    Counts counts;
-    bool terminated = false;
-    if (nativeReact_) {
-        const NativeOutcome out = reactNative(
-            nativeReact_, rec, present, shard.emitRing.data(), state_[inst]);
-        state_[inst] = out.state;
-        counts = {out.treeTests, out.actionsRun, out.emitsRun};
-        terminated = out.terminated;
-        for (std::int32_t k = 0; k < out.emitted; ++k)
-            shard.events.push_back(
-                {id, shard.emitRing[static_cast<std::size_t>(k)]});
-    } else {
-        EventBookkeeping book{shard.events, id};
-        state_[inst] =
-            reactFlat(flat_, shard.vm, rec, present, state_[inst], book);
-        counts = {book.treeTests, book.actionsRun, book.emitsRun};
-        terminated = book.terminated;
-    }
-
-    // Only a completed reaction updates the snapshot: a trap leaves the
-    // previous presence row and counts in the record, and no reacted mark.
+    for (std::int32_t k = 0; k < out.emitted; ++k)
+        shard.events.push_back({id, shard.reactor.ring()[k]});
     if (S != 0) std::memcpy(rec + lastPresentOff_, present, S);
+    const Counts counts{out.treeTests, out.actionsRun, out.emitsRun};
     std::memcpy(rec + countsOff_, &counts, sizeof counts);
-    if (!nativeReact_)
-        std::memcpy(rec + countsOff_ + sizeof counts, &shard.vm.counters(),
+    if (const ExecCounters* data = shard.reactor.dataCounters())
+        std::memcpy(rec + countsOff_ + sizeof counts, data,
                     sizeof(ExecCounters));
-    reacted_[inst] = terminated ? kReacted | kTerminated : kReacted;
+    reacted_[inst] = out.terminated ? kReacted | kTerminated : kReacted;
 }
 
 void BatchEngine::runShard(int w)
@@ -298,19 +245,16 @@ void BatchEngine::runShard(int w)
     Shard& s = *shards_[static_cast<std::size_t>(w)];
     const auto [begin, end] = ranges_[static_cast<std::size_t>(w)];
     // A trap ends its own instance's reaction, not the range: instances
-    // are independent, so the rest still react. The trapping reaction
-    // takes back the events it already appended.
+    // are independent, so the rest still react.
     for (std::size_t i = begin; i < end; ++i) {
         if (i + kPrefetchAhead < end) {
             const std::uint8_t* ahead = record(work_[i + kPrefetchAhead]);
             for (std::size_t b = 0; b < recordBytes_; b += 64)
                 __builtin_prefetch(ahead + b, 1);
         }
-        const std::size_t eventsBefore = s.events.size();
         try {
             reactOne(s, work_[i]);
         } catch (...) {
-            s.events.resize(eventsBefore);
             if (!s.error) s.error = std::current_exception();
         }
     }
@@ -439,7 +383,7 @@ ReactionResult BatchEngine::lastResult(std::size_t inst) const
     r.treeTests = counts.treeTests;
     r.actionsRun = counts.actionsRun;
     r.emitsRun = counts.emitsRun;
-    if (!nativeReact_)
+    if (shards_.front()->reactor.dataCounters()) // VM records hold them
         std::memcpy(&r.dataCounters, rec + countsOff_ + sizeof counts,
                     sizeof r.dataCounters);
     r.terminated = (reacted_[inst] & kTerminated) != 0;

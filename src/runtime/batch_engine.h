@@ -16,30 +16,31 @@
 //    presence row, the last-reaction presence row and the last
 //    reaction's counts (tests, actions, emissions and, on the VM backend
 //    only, its ExecCounters), each at an 8-byte aligned offset fixed per
-//    engine. Records live in pages of 1024 that are allocated once and
-//    never move, so adding an instance copies nothing and leaves no
-//    garbage behind.
-// Execution state that is scratch rather than per-instance — VM register
-// files, function-call frames, the native output ring, the step's output
-// events — lives in per-WORKER contexts shared by every instance the
-// worker serves, so a reaction still runs without heap allocation no
-// matter how many instances exist. A reaction writes its outcome where
-// it is kept: counts and termination into its record, each emitted
-// output straight onto its worker's event buffer (a trap takes back what
-// it appended).
+//    engine. Records live in pages of up to 1024 records and 4 MiB (or
+//    one bigger record) that are allocated once and never move, so
+//    adding an instance copies nothing and leaves no garbage behind.
+// Execution state that is scratch rather than per-instance — the
+// worker's rt::Reactor (VM register files and call frames, or the
+// native function, and the output ring) and the step's output events —
+// lives in per-WORKER contexts shared by every instance the worker
+// serves, so a reaction still runs without heap allocation no matter how
+// many instances exist. A completed reaction writes its outcome where it
+// is kept: counts and termination into its record, its emitted outputs
+// from the ring onto its worker's event buffer; a trapping one writes
+// neither.
 //
-// Two execution backends run over the same arenas, both through the
-// shared flat kernel (src/runtime/flat_kernel.h). The default reacts each
-// instance with rt::reactFlat on the worker's bc::Vm, which addresses the
-// instance's slice directly. When constructed with a loaded rt::NativeModule
-// (CompiledModule::makeBatchEngine with EngineKind::Native), every
-// reaction instead goes through rt::reactNative — the generated C
-// operates on the exact computeInstanceLayout arena bytes, so the
-// instance slice is passed straight through with no marshalling. Both
-// backends are bit-exact per reacted instance with the corresponding
-// single engine (SyncEngine / NativeEngine): outputs, packed state,
-// termination, auto-resume, counters, trap messages and the runaway
-// budget, which the kernel opens afresh for every reaction.
+// Two execution backends run over the same arenas, through the shared
+// flat kernel (src/runtime/flat_kernel.h): each worker's reactor runs
+// the bytecode VM, which addresses the instance's slice directly, or —
+// when the engine is constructed with a loaded rt::NativeModule
+// (CompiledModule::makeBatchEngine with EngineKind::Native) — the
+// AOT-compiled function, which operates on the exact
+// computeInstanceLayout arena bytes, so the instance slice is passed
+// straight through with no marshalling. Both backends are bit-exact per
+// reacted instance with the corresponding single engine (SyncEngine /
+// NativeEngine): outputs, packed state, termination, auto-resume,
+// counters, trap messages and the runaway budget, which the kernel opens
+// afresh for every reaction.
 //
 // Scheduling follows a dirty bitmap: step() reacts only instances that
 // have pending inputs or auto-resume (an await() delta pause), the same
@@ -98,8 +99,9 @@ public:
     /// slots, all marked dirty so the first step() boots them. When
     /// `native` is non-null its reaction function replaces the VM for
     /// every reaction (the caller — normally makeBatchEngine — is
-    /// responsible for the fall-back-to-VM policy); the module shape is
-    /// validated against `flat` and the instance layout.
+    /// responsible for the fall-back-to-VM policy); each worker's
+    /// reactor validates the module shape against `flat` and the
+    /// instance layout.
     BatchEngine(const efsm::FlatProgram& flat,
                 std::shared_ptr<const bc::Program> code,
                 const ModuleSema& sema, const InputTable& inputs,
@@ -205,7 +207,7 @@ public:
     /// "flat" (the bytecode VM) — the same names the single engines use.
     [[nodiscard]] const char* backendName() const
     {
-        return native_ ? "native" : "flat";
+        return shards_.front()->reactor.backendName();
     }
     /// Every byte the engine holds per instance: its record (arena slice,
     /// two presence rows, last reaction's counts) plus its scheduling
@@ -221,21 +223,19 @@ private:
     /// Per-worker execution context: scratch shared by all instances the
     /// worker reacts (never by two workers at once).
     struct Shard {
-        bc::Vm vm; ///< Reacts every instance of this worker.
-        std::vector<std::int32_t> emitRing; ///< Native output ring.
+        Reactor reactor; ///< Reacts every instance of this worker.
         std::vector<StepEvent> events; ///< This epoch, processing order.
         std::size_t reactions = 0; ///< Reactions run this epoch.
         std::exception_ptr error;
 
-        Shard(std::shared_ptr<const bc::Program> code,
-              const ModuleSema& sema, const InstanceLayout& layout,
-              std::size_t emitRingSlots);
+        explicit Shard(Reactor r) : reactor(std::move(r)) {}
     };
 
-    /// Records per page, a power of two: instance `inst` is slot
-    /// inst & (kPageRecords - 1) of page inst >> kPageShift.
-    static constexpr std::size_t kPageShift = 10;
-    static constexpr std::size_t kPageRecords = std::size_t{1} << kPageShift;
+    /// A page holds 2^pageShift_ records, at most 2^kMaxPageShift and as
+    /// many as fit in kPageBytes (at least one): instance `inst` is slot
+    /// inst & pageMask() of page inst >> pageShift_.
+    static constexpr std::size_t kMaxPageShift = 10;
+    static constexpr std::size_t kPageBytes = std::size_t{4} << 20;
     /// The last reaction's counts as a record stores them (memcpy only).
     struct Counts {
         std::uint64_t treeTests = 0;
@@ -252,15 +252,19 @@ private:
     const SignalInfo& checkInput(std::size_t inst, int sigIndex) const;
     /// Instance `inst`'s record; its slice starts the record, its rows
     /// sit at presentOff_, lastPresentOff_ and countsOff_.
+    std::size_t pageMask() const
+    {
+        return (std::size_t{1} << pageShift_) - 1;
+    }
     std::uint8_t* record(std::size_t inst)
     {
-        return pages_[inst >> kPageShift].get() +
-               (inst & (kPageRecords - 1)) * recordBytes_;
+        return pages_[inst >> pageShift_].get() +
+               (inst & pageMask()) * recordBytes_;
     }
     const std::uint8_t* record(std::size_t inst) const
     {
-        return pages_[inst >> kPageShift].get() +
-               (inst & (kPageRecords - 1)) * recordBytes_;
+        return pages_[inst >> pageShift_].get() +
+               (inst & pageMask()) * recordBytes_;
     }
     /// Back to the state of a new record: zeroed slice and rows, and no
     /// reaction to report.
@@ -274,13 +278,9 @@ private:
     void mergeStepEvents() const;
 
     const efsm::FlatProgram& flat_;
-    std::shared_ptr<const bc::Program> code_;
     const ModuleSema& sema_;
     const InputTable& inputs_;
     std::shared_ptr<const void> owner_;
-    /// AOT backend; null = bytecode VM.
-    std::shared_ptr<const NativeModule> native_;
-    EclNativeReactFn nativeReact_ = nullptr;
 
     /// Shared fixed layout of one instance's arena slice (the same layout
     /// the verification explorer packs states with — see
@@ -294,7 +294,8 @@ private:
     std::size_t lastPresentOff_ = 0;
     std::size_t countsOff_ = 0;
     std::size_t recordBytes_ = 0;
-    /// Records, kPageRecords per page; a page never moves.
+    std::size_t pageShift_ = kMaxPageShift;
+    /// Records, 2^pageShift_ per page; a page never moves.
     std::vector<std::unique_ptr<std::uint8_t[]>> pages_;
 
     // Scheduling rows, one entry per instance.

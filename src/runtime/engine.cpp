@@ -60,11 +60,26 @@ Value ReactiveEngine::outputValue(const std::string& name) const
 // ArenaEngine
 // ---------------------------------------------------------------------------
 
-ArenaEngine::ArenaEngine(const ModuleSema& sema, const efsm::FlatProgram& flat)
+ArenaEngine::ArenaEngine(const ModuleSema& sema, const efsm::FlatProgram& flat,
+                         std::shared_ptr<const bc::Program> code)
+    : ArenaEngine(sema, flat, std::move(code), nullptr)
+{
+}
+
+ArenaEngine::ArenaEngine(const ModuleSema& sema, const efsm::FlatProgram& flat,
+                         std::shared_ptr<const NativeModule> native)
+    : ArenaEngine(sema, flat, nullptr, std::move(native))
+{
+}
+
+ArenaEngine::ArenaEngine(const ModuleSema& sema, const efsm::FlatProgram& flat,
+                         std::shared_ptr<const bc::Program> code,
+                         std::shared_ptr<const NativeModule> native)
     : sema_(sema), flat_(flat), layout_(computeInstanceLayout(sema)),
       data_(std::max<std::size_t>(layout_.dataBytes, 1), 0),
       present_(sema.signals.size(), 0), lastPresent_(sema.signals.size(), 0),
-      state_(flat.initialState)
+      state_(flat.initialState),
+      reactor_(sema, flat, layout_, std::move(code), std::move(native))
 {
 }
 
@@ -100,10 +115,26 @@ void ArenaEngine::setInputValue(int sigIndex, Value v)
     present_[static_cast<std::size_t>(sigIndex)] = 1;
 }
 
-void ArenaEngine::beginReaction()
+ReactionResult ArenaEngine::react()
 {
+    // Presence clears unless inputs were staged; a trap leaves the
+    // control state and the last reaction's presence snapshot as they
+    // were.
     if (!instantOpen_) std::fill(present_.begin(), present_.end(), 0);
     instantOpen_ = false;
+    const Outcome out = reactor_.react(data_.data(), present_.data(), state_);
+    state_ = out.state;
+    lastPresent_ = present_;
+    ReactionResult result;
+    result.emittedOutputs.assign(reactor_.ring(),
+                                 reactor_.ring() + out.emitted);
+    result.terminated = out.terminated;
+    result.treeTests = out.treeTests;
+    result.actionsRun = out.actionsRun;
+    result.emitsRun = out.emitsRun;
+    if (const ExecCounters* data = reactor_.dataCounters())
+        result.dataCounters = *data;
+    return result;
 }
 
 bool ArenaEngine::outputPresent(int sigIndex) const
@@ -116,27 +147,6 @@ Value ArenaEngine::outputValue(int sigIndex) const
 {
     return readSignalValue(data_.data(), layout_,
                            checkedSignal(sema_, sigIndex));
-}
-
-// ---------------------------------------------------------------------------
-// SyncEngine
-// ---------------------------------------------------------------------------
-
-SyncEngine::SyncEngine(const ModuleSema& sema, const efsm::FlatProgram& flat,
-                       std::shared_ptr<const bc::Program> code)
-    : ArenaEngine(sema, flat),
-      vm_(std::move(code), sema, layout_.varOffsets, layout_.sigOffsets)
-{
-}
-
-ReactionResult SyncEngine::react()
-{
-    ReactionResult result;
-    beginReaction();
-    state_ = reactFlat(flat_, vm_, data_.data(), present_.data(), state_,
-                       ResultBookkeeping{result});
-    endReaction();
-    return result;
 }
 
 // ---------------------------------------------------------------------------

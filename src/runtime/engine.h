@@ -1,11 +1,12 @@
 // Single-instance reactive engines, one class per execution model.
 //
 // ArenaEngine is one module instance on the shared arena layout
-// (src/runtime/instance_layout.h), reacted through the shared flat kernel
-// (src/runtime/flat_kernel.h): the walk, layout and packed state that
+// (src/runtime/instance_layout.h), reacted through one rt::Reactor
+// (src/runtime/flat_kernel.h): the kernel, layout and packed state that
 // BatchEngine and the verifier use too. It implements the state, input
-// staging, presence snapshot, output reads and packed state once; a
-// subclass adds only its react():
+// staging, presence snapshot, output reads, packed state and react()
+// once, whichever backend its reactor runs; its two constructors pick
+// the backend, and its two names say which:
 //  * SyncEngine executes the compiled EFSM — one decision-tree walk per
 //    instant, the paper's fast path ("the Esterel compiler does case
 //    analysis much better than a human designer") — over the flat tables
@@ -105,11 +106,21 @@ private:
     std::shared_ptr<const void> owner_;
 };
 
-/// One module instance on the shared arena layout, reacted through the
-/// flat kernel: the ReactiveEngine contract, error texts included, for
-/// every arena-backed engine. A subclass adds only react().
-class ArenaEngine : public ReactiveEngine {
+/// One module instance on the shared arena layout, reacted through one
+/// Reactor: the ReactiveEngine contract, error texts included, for both
+/// arena backends.
+class ArenaEngine final : public ReactiveEngine {
 public:
+    /// The VM backend ("flat"): `flat` and `code` are the
+    /// CompiledModule's flattened tables and the bytecode they reference.
+    ArenaEngine(const ModuleSema& sema, const efsm::FlatProgram& flat,
+                std::shared_ptr<const bc::Program> code);
+    /// The AOT backend ("native"): `flat` must be the tables `native` was
+    /// generated from; the reactor validates the module's shape record
+    /// against them and the instance layout.
+    ArenaEngine(const ModuleSema& sema, const efsm::FlatProgram& flat,
+                std::shared_ptr<const NativeModule> native);
+
     using ReactiveEngine::outputPresent;
     using ReactiveEngine::outputValue;
     using ReactiveEngine::setInput;
@@ -119,6 +130,7 @@ public:
     void setInput(int sigIndex) override;
     void setInputScalar(int sigIndex, std::int64_t v) override;
     void setInputValue(int sigIndex, Value v) override;
+    ReactionResult react() override;
 
     [[nodiscard]] bool outputPresent(int sigIndex) const override;
     [[nodiscard]] Value outputValue(int sigIndex) const override;
@@ -134,18 +146,21 @@ public:
     {
         return sema_;
     }
+    [[nodiscard]] const char* backendName() const override
+    {
+        return reactor_.backendName();
+    }
     [[nodiscard]] std::vector<std::uint8_t> packState() const override
     {
         return packRecord(state_, data_.data(), layout_.dataBytes);
     }
 
-protected:
-    ArenaEngine(const ModuleSema& sema, const efsm::FlatProgram& flat);
+private:
+    ArenaEngine(const ModuleSema& sema, const efsm::FlatProgram& flat,
+                std::shared_ptr<const bc::Program> code,
+                std::shared_ptr<const NativeModule> native);
 
-    /// Opens a reaction: presence clears unless inputs were staged.
-    void beginReaction();
-    /// Closes it: snapshots presence for outputPresent().
-    void endReaction() { lastPresent_ = present_; }
+    void openInstant();
 
     const ModuleSema& sema_;
     const efsm::FlatProgram& flat_;
@@ -154,26 +169,12 @@ protected:
     std::vector<std::uint8_t> present_;     ///< Current instant.
     std::vector<std::uint8_t> lastPresent_; ///< After the last reaction.
     std::int32_t state_;                    ///< FlatProgram control state.
-
-private:
-    void openInstant();
-
-    bool instantOpen_ = false; ///< Inputs staged this instant.
+    bool instantOpen_ = false;              ///< Inputs staged this instant.
+    Reactor reactor_;
 };
 
-class SyncEngine final : public ArenaEngine {
-public:
-    /// `flat` and `code` are the CompiledModule's flattened tables and
-    /// the bytecode they reference.
-    SyncEngine(const ModuleSema& sema, const efsm::FlatProgram& flat,
-               std::shared_ptr<const bc::Program> code);
-
-    ReactionResult react() override;
-    [[nodiscard]] const char* backendName() const override { return "flat"; }
-
-private:
-    bc::Vm vm_;
-};
+/// The VM-backed ArenaEngine's name.
+using SyncEngine = ArenaEngine;
 
 /// One module instance in boxed values: the SignalEnv, Store and
 /// Evaluator the interpretive oracles run on, with their input staging,

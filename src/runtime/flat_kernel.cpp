@@ -3,6 +3,8 @@
 #include <cstring>
 #include <string>
 
+#include "src/runtime/native_module.h"
+
 namespace ecl::rt {
 
 const SignalInfo& checkedSignal(const ModuleSema& sema, int sigIndex)
@@ -71,6 +73,71 @@ std::vector<std::uint8_t> packRecord(std::int32_t state,
     std::memcpy(out.data(), &state, 4);
     std::memcpy(out.data() + 4, data, dataBytes);
     return out;
+}
+
+Outcome reactFlat(const efsm::FlatProgram& flat, bc::Vm& vm,
+                  std::uint8_t* slice, std::uint8_t* present,
+                  std::int32_t* ring, int state)
+{
+    vm.resetCounters();
+    Outcome out;
+    const efsm::FlatNode* nodes = flat.nodes.data();
+    const efsm::FlatAction* actions = flat.actions.data();
+    auto runActions = [&](const efsm::FlatNode& node) {
+        for (std::int32_t i = node.actionsBegin; i < node.actionsEnd; ++i) {
+            const efsm::FlatAction& a = actions[i];
+            ++out.actionsRun;
+            if (a.kind == efsm::FlatAction::Kind::Emit) {
+                if (a.chunk >= 0) vm.runEmit(a.chunk, slice, a.signal);
+                present[a.signal] = 1;
+                ++out.emitsRun;
+                if (a.isOutput) ring[out.emitted++] = a.signal;
+            } else if (a.chunk >= 0) {
+                vm.runAction(a.chunk, slice);
+            }
+        }
+    };
+
+    const efsm::FlatNode* node =
+        &nodes[flat.states[static_cast<std::size_t>(state)].root];
+    while (!node->isLeaf()) {
+        runActions(*node);
+        ++out.treeTests;
+        const bool taken =
+            node->testSignal >= 0
+                ? present[node->testSignal] != 0
+                : vm.runPredicate(node->predChunk, slice);
+        node = &nodes[taken ? node->onTrue : node->onFalse];
+    }
+    if (node->runtimeError())
+        throw EclError("instantaneous loop detected at runtime (a "
+                       "statically-unverifiable loop path was reached)");
+    runActions(*node);
+    out.state = node->nextState;
+    out.terminated =
+        node->terminates() ||
+        flat.states[static_cast<std::size_t>(node->nextState)].dead;
+    return out;
+}
+
+Reactor::Reactor(const ModuleSema& sema, const efsm::FlatProgram& flat,
+                 const InstanceLayout& layout,
+                 std::shared_ptr<const bc::Program> code,
+                 std::shared_ptr<const NativeModule> native)
+    : flat_(flat), native_(std::move(native)),
+      ring_(flat.outputRingSlots(), 0)
+{
+    if (native_) {
+        // A module generated from other tables must not run over these
+        // arenas, nor overrun a ring sized from them.
+        validateNativeShape(native_->info(), sema, flat, layout);
+        fn_ = native_->react();
+        return;
+    }
+    if (!code)
+        throw EclError("module '" + sema.name +
+                       "' has no compiled bytecode program");
+    vm_.emplace(std::move(code), sema, layout.varOffsets, layout.sigOffsets);
 }
 
 } // namespace ecl::rt

@@ -1,27 +1,28 @@
 // The one reaction kernel over a compiled module's flat tables.
 //
-// Every executor of an efsm::FlatProgram + bc::Program runs through the
-// pieces below, so a reaction means the same thing wherever it runs:
-//  * SyncEngine and NativeEngine are rt::ArenaEngines (engine.h): one
-//    instance each;
+// Every executor of an efsm::FlatProgram + bc::Program reacts through one
+// rt::Reactor per worker and module, so a reaction means the same thing
+// wherever it runs:
+//  * the single engine (rt::ArenaEngine, engine.h) holds one reactor for
+//    its one instance;
 //  * BatchEngine keeps N instances side by side in one arena and reacts
-//    them through one bc::Vm per worker, each reaction on its instance's
-//    slice;
+//    them through one reactor per worker, each reaction on its
+//    instance's slice;
 //  * verify::Explorer computes design and monitor successors through one
-//    bc::Vm per worker and module.
+//    reactor per worker and module.
 // Instance state is always the computeInstanceLayout arena slice, one
 // presence byte per signal and an i32 control state, so the packed
 // record [i32 control state][dataBytes] is a plain copy everywhere. The
 // VM addresses that slice by the layout's offsets, exactly like the
 // AOT-compiled C, so no instance needs binding before it reacts.
 //
-// reactFlat is the one decision-tree walk, templated on a bookkeeping
-// policy: the single engines count tests, actions and emissions into a
-// ReactionResult (ResultBookkeeping), the batch engine straight into its
-// instance record and event buffer, the explorer counts nothing
-// (NoBookkeeping). reactNative is the one call into AOT-compiled code;
-// it returns what the generated code reported (NativeOutcome), and each
-// caller keeps what it needs.
+// A reactor runs the module's bc::Vm or its AOT-compiled function,
+// chosen once when the reactor is built, and either backend reports a
+// reaction the same way: an rt::Outcome (next state, termination and
+// counts) plus the outputs it emitted, in emission order, on the
+// reactor's output ring. reactFlat is the VM's decision-tree walk and
+// does exactly what the generated C's ecl_walk does; reactNative is the
+// one call into AOT-compiled code.
 // The kernel owns the runaway guard: every reaction starts a fresh budget
 // (reactFlat's bc::Vm::resetCounters, reactNative's kNativeReactFuel), so
 // no caller scopes one and a long-lived engine never runs out.
@@ -29,6 +30,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/efsm/flatten.h"
@@ -111,112 +113,47 @@ std::vector<std::uint8_t> packRecord(std::int32_t state,
                                      const std::uint8_t* data,
                                      std::size_t dataBytes);
 
-/// reactFlat policy of the explorer: successor state only.
-struct NoBookkeeping {
-    void test() {}
-    void action() {}
-    void emit(int, bool) {}
-    void finish(bool, const ExecCounters&) {}
+/// What a completed reaction reports, whichever backend ran it: the
+/// generated code's out-fields of its context (native_abi.h).
+struct Outcome {
+    int state = 0; ///< Next control state.
+    bool terminated = false;
+    std::uint64_t treeTests = 0;
+    std::uint64_t actionsRun = 0;
+    std::uint64_t emitsRun = 0;   ///< All emissions (incl. local signals).
+    std::int32_t emitted = 0; ///< Outputs at the front of the ring.
 };
 
-/// reactFlat policy of the single engines: counters, emitted outputs in
-/// walk order, termination and the VM's data counters, accumulated into
-/// a zeroed ReactionResult.
-struct ResultBookkeeping {
-    ReactionResult& r;
-    void test() { ++r.treeTests; }
-    void action() { ++r.actionsRun; }
-    void emit(int sig, bool output)
-    {
-        ++r.emitsRun;
-        if (output) r.emittedOutputs.push_back(sig);
-    }
-    void finish(bool terminated, const ExecCounters& data)
-    {
-        r.terminated = terminated;
-        r.dataCounters = data;
-    }
-};
-
-/// The one decision-tree walk: reacts the instance whose variables and
+/// The VM's decision-tree walk: reacts the instance whose variables and
 /// signal values live in `slice` (a slice of the layout `vm` was made
 /// for) and whose current-instant presence is `present`, from control
 /// state `state`. Every emission marks its signal present — locals
 /// included — so presence-based observers (monitor wiring, violation
-/// checks) see the whole instant. Returns the next control state; throws
+/// checks) see the whole instant; each emitted output also goes onto
+/// `ring` (flat.outputRingSlots() slots), in emission order. Throws
 /// EclError on a runtime trap, leaving data written so far in place.
-template <class Book>
-int reactFlat(const efsm::FlatProgram& flat, bc::Vm& vm,
-              std::uint8_t* slice, std::uint8_t* present, int state,
-              Book&& book)
-{
-    vm.resetCounters();
-    const efsm::FlatNode* nodes = flat.nodes.data();
-    const efsm::FlatAction* actions = flat.actions.data();
-    auto runActions = [&](const efsm::FlatNode& node) {
-        for (std::int32_t i = node.actionsBegin; i < node.actionsEnd; ++i) {
-            const efsm::FlatAction& a = actions[i];
-            book.action();
-            if (a.kind == efsm::FlatAction::Kind::Emit) {
-                if (a.chunk >= 0) vm.runEmit(a.chunk, slice, a.signal);
-                present[a.signal] = 1;
-                book.emit(a.signal, a.isOutput);
-            } else if (a.chunk >= 0) {
-                vm.runAction(a.chunk, slice);
-            }
-        }
-    };
-
-    const efsm::FlatNode* node =
-        &nodes[flat.states[static_cast<std::size_t>(state)].root];
-    while (!node->isLeaf()) {
-        runActions(*node);
-        book.test();
-        const bool taken =
-            node->testSignal >= 0
-                ? present[node->testSignal] != 0
-                : vm.runPredicate(node->predChunk, slice);
-        node = &nodes[taken ? node->onTrue : node->onFalse];
-    }
-    if (node->runtimeError())
-        throw EclError("instantaneous loop detected at runtime (a "
-                       "statically-unverifiable loop path was reached)");
-    runActions(*node);
-    book.finish(node->terminates() ||
-                    flat.states[static_cast<std::size_t>(node->nextState)]
-                        .dead,
-                vm.counters());
-    return node->nextState;
-}
+Outcome reactFlat(const efsm::FlatProgram& flat, bc::Vm& vm,
+                  std::uint8_t* slice, std::uint8_t* present,
+                  std::int32_t* ring, int state);
 
 /// Backward-branch budget a fresh native reaction starts from — the
 /// analogue of bc::Vm's op budget (see c_gen.h on the approximation).
 inline constexpr std::int64_t kNativeReactFuel = 500'000'000;
 
-/// What a completed AOT reaction reports back through its context.
-struct NativeOutcome {
-    int state = 0; ///< Next control state.
-    bool terminated = false;
-    std::uint64_t treeTests = 0;
-    std::uint64_t actionsRun = 0;
-    std::uint64_t emitsRun = 0;
-    std::int32_t emitted = 0; ///< Outputs at the front of the emit ring.
-};
-
 /// The one call into an AOT-compiled reaction (native_abi.h): runs `fn`
 /// directly on the arena slice and presence row, from a fresh
 /// kNativeReactFuel. The generated code marks every emission present,
-/// locals included, like reactFlat, pushes each emitted output onto
-/// `emitRing` in emission order, and its trap text is raised as
-/// EclError, exactly like the VM's.
-inline NativeOutcome reactNative(EclNativeReactFn fn, std::uint8_t* slice,
-                                 std::uint8_t* present,
-                                 std::int32_t* emitRing, int state)
+/// locals included, and pushes each emitted output onto `ring`, like
+/// reactFlat, and its trap text is raised as EclError, exactly like the
+/// VM's.
+inline Outcome reactNative(EclNativeReactFn fn, std::uint8_t* slice,
+                           std::uint8_t* present, std::int32_t* ring,
+                           int state)
 {
     EclNativeCtx ctx{};
     ctx.data = slice;
     ctx.present = present;
-    ctx.emitted = emitRing;
+    ctx.emitted = ring;
     ctx.state = state;
     ctx.depth = 1; // Module chunks run at the VM's depth 1.
     ctx.fuel = kNativeReactFuel;
@@ -227,5 +164,55 @@ inline NativeOutcome reactNative(EclNativeReactFn fn, std::uint8_t* slice,
     return {ctx.state,          ctx.terminated != 0, ctx.tree_tests,
             ctx.actions_run,    ctx.emits_run,       ctx.emitted_count};
 }
+
+class NativeModule;
+
+/// One worker's executor of one module's flat tables: the module's
+/// bc::Vm, or its AOT-compiled function, chosen once at construction,
+/// and the output ring both report into. Every driver reacts through
+/// one reactor per worker and module. Like the Vm, a reactor is
+/// single-threaded; the tables, bytecode and native module it reads are
+/// shared read-only.
+class Reactor {
+public:
+    /// Runs `native` when it is non-null — after checking its shape
+    /// against `sema`, `flat` and `layout` (validateNativeShape) — and
+    /// otherwise a bc::Vm over `code`, the bytecode `flat` references.
+    /// `sema` and `flat` must outlive the reactor.
+    Reactor(const ModuleSema& sema, const efsm::FlatProgram& flat,
+            const InstanceLayout& layout,
+            std::shared_ptr<const bc::Program> code,
+            std::shared_ptr<const NativeModule> native);
+
+    /// Reacts the instance in `slice` and `present` from control state
+    /// `state` (reactFlat's contract, on either backend).
+    Outcome react(std::uint8_t* slice, std::uint8_t* present, int state)
+    {
+        return fn_ ? reactNative(fn_, slice, present, ring_.data(), state)
+                   : reactFlat(flat_, *vm_, slice, present, ring_.data(),
+                               state);
+    }
+    /// The outputs the last completed reaction emitted: its
+    /// Outcome::emitted signal indices, in emission order.
+    [[nodiscard]] const std::int32_t* ring() const { return ring_.data(); }
+    /// The VM's data counters of the last reaction; null on the native
+    /// backend, which counts none.
+    [[nodiscard]] const ExecCounters* dataCounters() const
+    {
+        return vm_ ? &vm_->counters() : nullptr;
+    }
+    /// "native" or "flat", the names the engines report.
+    [[nodiscard]] const char* backendName() const
+    {
+        return fn_ ? "native" : "flat";
+    }
+
+private:
+    const efsm::FlatProgram& flat_;
+    std::shared_ptr<const NativeModule> native_; ///< Keeps fn_ loaded.
+    EclNativeReactFn fn_ = nullptr;
+    std::optional<bc::Vm> vm_;
+    std::vector<std::int32_t> ring_;
+};
 
 } // namespace ecl::rt

@@ -1,10 +1,14 @@
 #include "src/runtime/native_module.h"
 
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -22,6 +26,38 @@ namespace {
 // host process at dlopen(RTLD_NOW), which rejects any that do not.
 constexpr const char* kCompileFlags = "-std=c99 -O2 -fPIC -shared";
 constexpr const char* kLinkFlags = "-nodefaultlibs -lgcc";
+
+std::vector<std::string> splitWords(const std::string& s)
+{
+    std::vector<std::string> words;
+    std::istringstream is(s);
+    for (std::string w; is >> w;) words.push_back(std::move(w));
+    return words;
+}
+
+/// Runs `argv` (its first word looked up on PATH) with stderr on
+/// `logPath`; returns how it failed, or "" when it exited 0.
+std::string runCompiler(std::vector<std::string> argv, const fs::path& logPath)
+{
+    std::vector<char*> args;
+    for (std::string& a : argv) args.push_back(a.data());
+    args.push_back(nullptr);
+    posix_spawn_file_actions_t files;
+    posix_spawn_file_actions_init(&files);
+    posix_spawn_file_actions_addopen(&files, STDERR_FILENO, logPath.c_str(),
+                                     O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    pid_t pid = 0;
+    int status = 0;
+    int err =
+        posix_spawnp(&pid, args[0], &files, nullptr, args.data(), environ);
+    posix_spawn_file_actions_destroy(&files);
+    while (err == 0 && ::waitpid(pid, &status, 0) < 0)
+        if (errno != EINTR) err = errno;
+    if (err != 0) return std::strerror(err);
+    if (WIFSIGNALED(status))
+        return "signal " + std::to_string(WTERMSIG(status));
+    return status == 0 ? "" : "exit " + std::to_string(WEXITSTATUS(status));
+}
 
 std::string readLogTail(const fs::path& log)
 {
@@ -97,11 +133,16 @@ NativeModule::build(const std::string& cSource, const std::string& moduleName)
         // Write-then-rename: concurrent builders race benignly.
         fs::path tmp = soPath;
         tmp += ".tmp" + std::to_string(static_cast<long>(::getpid()));
-        std::string cmd = compiler + " " + kCompileFlags + " -o '" +
-                          tmp.string() + "' '" + cPath.string() + "' " +
-                          kLinkFlags + " 2>'" + logPath.string() + "'";
-        int rc = std::system(cmd.c_str());
-        if (rc == 0 && fs::exists(tmp)) {
+        // $CC may carry words of its own ("ccache gcc"); paths go in
+        // as single arguments, whatever they hold.
+        std::vector<std::string> argv =
+            splitWords(compiler + ' ' + kCompileFlags + " -o");
+        argv.push_back(tmp.string());
+        argv.push_back(cPath.string());
+        for (std::string& w : splitWords(kLinkFlags))
+            argv.push_back(std::move(w));
+        const std::string failure = runCompiler(std::move(argv), logPath);
+        if (failure.empty() && fs::exists(tmp)) {
             fs::rename(tmp, soPath, ec);
             if (ec && !fs::exists(soPath))
                 throw EclError("native backend: rename failed: " +
@@ -111,8 +152,8 @@ NativeModule::build(const std::string& cSource, const std::string& moduleName)
         }
         fs::remove(tmp, ec);
         if (firstError.empty()) {
-            firstError = "'" + compiler + "' failed (exit " +
-                         std::to_string(rc) + ")";
+            firstError = "'" + compiler + "' failed (" +
+                         (failure.empty() ? "no output" : failure) + ")";
             std::string tail = readLogTail(logPath);
             if (!tail.empty()) firstError += ": " + tail;
         }
@@ -157,42 +198,12 @@ void validateNativeShape(const EclNativeInfo& info, const ModuleSema& sema,
     if (info.data_bytes != layout.dataBytes ||
         info.signals != sema.signals.size() ||
         info.states != flat.states.size() ||
-        info.initial_state != flat.initialState)
+        info.initial_state != flat.initialState ||
+        info.max_emits != flat.outputRingSlots())
         throw EclError(std::string("native backend: module '") +
                        (info.module_name ? info.module_name : "?") +
                        "' shape does not match this compile (stale cache "
                        "or wrong flat tables)");
-}
-
-// ---------------------------------------------------------------------------
-// NativeEngine
-// ---------------------------------------------------------------------------
-
-NativeEngine::NativeEngine(const ModuleSema& sema,
-                           const efsm::FlatProgram& flat,
-                           std::shared_ptr<const NativeModule> module)
-    : ArenaEngine(sema, flat), module_(std::move(module)),
-      emitted_(std::max<std::uint32_t>(module_->info().max_emits, 1), 0)
-{
-    validateNativeShape(module_->info(), sema, flat, layout_);
-}
-
-ReactionResult NativeEngine::react()
-{
-    beginReaction();
-    const NativeOutcome out = reactNative(module_->react(), data_.data(),
-                                          present_.data(), emitted_.data(),
-                                          state_);
-    state_ = out.state;
-    endReaction();
-    ReactionResult result;
-    result.emittedOutputs.assign(emitted_.data(),
-                                 emitted_.data() + out.emitted);
-    result.terminated = out.terminated;
-    result.treeTests = out.treeTests;
-    result.actionsRun = out.actionsRun;
-    result.emitsRun = out.emitsRun;
-    return result;
 }
 
 } // namespace ecl::rt

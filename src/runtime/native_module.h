@@ -2,22 +2,24 @@
 // run it behind the common ReactiveEngine interface.
 //
 // NativeModule::build() takes the translation unit emitted by
-// codegen::generateC(), invokes a host C compiler on it ($CC if set,
-// else the first of cc/gcc/clang that works), caches the shared object
-// by a hash of source, compiler and flags (ECL_NATIVE_CACHE_DIR, default
-// a directory under the system temp dir, write-then-rename so concurrent
-// builds are safe), loads it with dlopen and resolves `ecl_module_info` +
-// `ecl_native_react`. Every failure mode — ECL_NATIVE_DISABLE set, no
-// working compiler, compile error, ABI version mismatch — throws
-// EclError; CompiledModule's one native fallback point catches that,
-// memoizes the reason (CompiledModule::nativeModule() rethrows it) and
-// hands makeEngine, makeBatchEngine and makeExplorer the bytecode VM.
+// codegen::generateC(), runs a host C compiler on it ($CC if set, split
+// on whitespace, else the first of cc/gcc/clang that works) as a child
+// process from an argument vector, with no shell in between, caches the
+// shared object by a hash of source, compiler and flags
+// (ECL_NATIVE_CACHE_DIR, default a directory under the system temp dir,
+// write-then-rename so concurrent builds are safe), loads it with dlopen
+// and resolves `ecl_module_info` + `ecl_native_react`. Every failure
+// mode — ECL_NATIVE_DISABLE set, no working compiler, compile error, ABI
+// version mismatch — throws EclError; CompiledModule's one native
+// fallback point catches that, memoizes the reason
+// (CompiledModule::nativeModule() rethrows it) and hands makeEngine,
+// makeBatchEngine and makeExplorer the bytecode VM.
 //
-// NativeEngine is the drop-in SyncEngine replacement over a loaded
-// module: an rt::ArenaEngine like SyncEngine (one implementation of input
-// staging, presence snapshots, output reads, packed state and their error
-// strings) that reacts through the kernel's one native call,
-// rt::reactNative (src/runtime/flat_kernel.h), so the two are
+// NativeEngine is the ArenaEngine built over a loaded module: its
+// rt::Reactor calls the kernel's one native call, rt::reactNative
+// (src/runtime/flat_kernel.h), where the VM-backed SyncEngine's walks
+// the tables, so the two share input staging, presence snapshots,
+// output reads, packed state and their error strings, and are
 // differentially testable down to trap messages.
 #pragma once
 
@@ -66,36 +68,15 @@ private:
 
 /// Validates a loaded module's shape record against the host tables it
 /// is about to run over (data layout, signal/state counts, initial
-/// state); throws EclError on any mismatch (stale cache, wrong flat
-/// tables). Shared by CompiledModule's native fallback point and the
-/// NativeEngine, BatchEngine and Explorer::attachNative entry points, so
-/// every one rejects a mismatched module the same way.
+/// state, output-ring capacity); throws EclError on any mismatch (stale
+/// cache, wrong flat tables). Called by CompiledModule's native fallback
+/// point and by every rt::Reactor built on a native module, so each
+/// rejects a mismatched module the same way.
 void validateNativeShape(const EclNativeInfo& info, const ModuleSema& sema,
                          const efsm::FlatProgram& flat,
                          const InstanceLayout& layout);
 
-class NativeEngine final : public ArenaEngine {
-public:
-    /// The flat tables must be the ones the module was generated from
-    /// (state attributes are read from them); the constructor validates
-    /// the module's shape record against them and the instance layout.
-    NativeEngine(const ModuleSema& sema, const efsm::FlatProgram& flat,
-                 std::shared_ptr<const NativeModule> module);
-
-    ReactionResult react() override;
-    [[nodiscard]] const char* backendName() const override
-    {
-        return "native";
-    }
-
-    [[nodiscard]] const NativeModule& nativeModule() const
-    {
-        return *module_;
-    }
-
-private:
-    std::shared_ptr<const NativeModule> module_;
-    std::vector<std::int32_t> emitted_;
-};
+/// The native-backed ArenaEngine's name: ArenaEngine(sema, flat, native).
+using NativeEngine = ArenaEngine;
 
 } // namespace ecl::rt

@@ -102,14 +102,9 @@ const Type* resolveFieldType(const TypeSpec& spec,
 {
     const Type* t = sema.types.require(spec.name, spec.loc, diags);
     // Dimensions apply outermost-first: `byte m[2][3]` is 2 rows of 3.
-    for (std::size_t i = dims.size(); i-- > 0;) {
-        std::int64_t n = evalConstExpr(*dims[i], sema, diags);
-        if (n <= 0) {
-            diags.error(dims[i]->loc, "array dimension must be positive");
-            throw EclError(dims[i]->loc, "array dimension must be positive");
-        }
-        t = sema.types.arrayOf(t, static_cast<std::size_t>(n));
-    }
+    for (std::size_t i = dims.size(); i-- > 0;)
+        t = sema.types.arrayOf(t, evalConstExpr(*dims[i], sema, diags),
+                               dims[i]->loc, diags);
     return t;
 }
 
@@ -127,7 +122,7 @@ const Type* buildAggregate(const AggregateDef& def, const std::string& name,
         fields.emplace_back(f.decl.name, ft);
     }
     return sema.types.makeAggregate(def.isUnion, name, std::move(fields),
-                                    def.loc);
+                                    def.loc, diags);
 }
 
 } // namespace
@@ -155,10 +150,10 @@ ProgramSema analyzeProgramDecls(const Program& program, Diagnostics& diags)
             } else {
                 base = sema.types.require(x.underlying.name, x.loc, diags);
             }
-            for (std::size_t i = x.arrayDims.size(); i-- > 0;) {
-                std::int64_t n = evalConstExpr(*x.arrayDims[i], sema, diags);
-                base = sema.types.arrayOf(base, static_cast<std::size_t>(n));
-            }
+            for (std::size_t i = x.arrayDims.size(); i-- > 0;)
+                base = sema.types.arrayOf(
+                    base, evalConstExpr(*x.arrayDims[i], sema, diags),
+                    x.arrayDims[i]->loc, diags);
             sema.types.registerName(x.name, base, x.loc);
             break;
         }
@@ -302,14 +297,12 @@ private:
             const auto& x = static_cast<const DeclStmt&>(s);
             for (const Declarator& d : x.decls) {
                 const Type* t = prog_.types.require(x.type.name, x.loc, diags_);
-                for (std::size_t i = d.arrayDims.size(); i-- > 0;) {
-                    std::int64_t n =
-                        evalConstExpr(*d.arrayDims[i], prog_, diags_);
-                    if (n <= 0)
-                        error(d.loc, "array dimension must be positive");
+                for (std::size_t i = d.arrayDims.size(); i-- > 0;)
                     t = const_cast<TypeTable&>(prog_.types)
-                            .arrayOf(t, static_cast<std::size_t>(n));
-                }
+                            .arrayOf(t,
+                                     evalConstExpr(*d.arrayDims[i], prog_,
+                                                   diags_),
+                                     d.loc, diags_);
                 addVar(d.name, t, d.loc);
             }
             return;

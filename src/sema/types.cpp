@@ -47,9 +47,31 @@ const Type* TypeTable::addScalar(TypeKind k, std::string name,
     return owned_.back().get();
 }
 
-const Type* TypeTable::arrayOf(const Type* elem, std::size_t count)
+namespace {
+
+[[noreturn]] void fail(SourceLoc loc, const std::string& msg,
+                       Diagnostics& diags)
 {
+    diags.error(loc, msg);
+    throw EclError(loc, msg);
+}
+
+std::string tooBig(const std::string& type)
+{
+    return "type '" + type + "' is larger than " +
+           std::to_string(kMaxDataBytes) + " bytes";
+}
+
+} // namespace
+
+const Type* TypeTable::arrayOf(const Type* elem, std::int64_t n,
+                               SourceLoc loc, Diagnostics& diags)
+{
+    if (n <= 0) fail(loc, "array dimension must be positive", diags);
+    const auto count = static_cast<std::size_t>(n);
     std::string key = elem->name() + "[" + std::to_string(count) + "]";
+    if (elem->size() != 0 && count > kMaxDataBytes / elem->size())
+        fail(loc, tooBig(key), diags);
     auto it = arrayCache_.find(key);
     if (it != arrayCache_.end()) return it->second;
 
@@ -66,7 +88,8 @@ const Type* TypeTable::arrayOf(const Type* elem, std::size_t count)
 
 const Type* TypeTable::makeAggregate(
     bool isUnion, std::string name,
-    std::vector<std::pair<std::string, const Type*>> fields, SourceLoc loc)
+    std::vector<std::pair<std::string, const Type*>> fields, SourceLoc loc,
+    Diagnostics& diags)
 {
     auto t = std::unique_ptr<Type>(new Type());
     t->kind_ = isUnion ? TypeKind::Union : TypeKind::Struct;
@@ -76,8 +99,9 @@ const Type* TypeTable::makeAggregate(
     for (auto& [fname, ftype] : fields) {
         for (const Type::Field& existing : t->fields_)
             if (existing.name == fname)
-                throw EclError(loc, "duplicate field '" + fname + "' in '" +
-                                        t->name_ + "'");
+                fail(loc,
+                     "duplicate field '" + fname + "' in '" + t->name_ + "'",
+                     diags);
         Type::Field f;
         f.name = fname;
         f.type = ftype;
@@ -87,6 +111,7 @@ const Type* TypeTable::makeAggregate(
         t->fields_.push_back(std::move(f));
     }
     t->size_ = isUnion ? maxSize : offset;
+    if (t->size_ > kMaxDataBytes) fail(loc, tooBig(t->name_), diags);
     owned_.push_back(std::move(t));
     return owned_.back().get();
 }
@@ -109,10 +134,7 @@ const Type* TypeTable::require(const std::string& name, SourceLoc loc,
                                Diagnostics& diags) const
 {
     const Type* t = lookup(name);
-    if (!t) {
-        diags.error(loc, "unknown type '" + name + "'");
-        throw EclError(loc, "unknown type '" + name + "'");
-    }
+    if (!t) fail(loc, "unknown type '" + name + "'", diags);
     return t;
 }
 

@@ -5,7 +5,8 @@
 // Layout rules (documented in docs/LANGUAGE.md): fields are packed with no padding,
 // little-endian scalar encoding. sizeof: bool/char 1, short 2, int/long 4
 // (MIPS32 model). A union's fields all start at offset 0 — the packet
-// raw/cooked dual view of the paper's Figure 1 relies on this.
+// raw/cooked dual view of the paper's Figure 1 relies on this. No type,
+// and no module's instance data, may exceed kMaxDataBytes.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +18,11 @@
 #include "src/support/diagnostics.h"
 
 namespace ecl {
+
+/// The largest size of any type, and of a module instance's data: 2^28
+/// bytes (256 MiB). The VM and the generated C address an instance by
+/// 32-bit offsets, and every engine allocates its instances whole.
+inline constexpr std::size_t kMaxDataBytes = std::size_t{1} << 28;
 
 enum class TypeKind { Void, Bool, Int, Array, Struct, Union };
 
@@ -72,24 +78,26 @@ public:
     TypeTable(TypeTable&&) = default;
     TypeTable& operator=(TypeTable&&) = default;
 
-    const Type* voidType() const { return void_; }
     const Type* boolType() const { return bool_; }
     const Type* charType() const { return char_; }
     const Type* ucharType() const { return uchar_; }
     const Type* shortType() const { return short_; }
-    const Type* ushortType() const { return ushort_; }
     const Type* intType() const { return int_; }
     const Type* uintType() const { return uint_; }
 
-    /// Array of `count` elements of `elem` (canonicalized).
-    const Type* arrayOf(const Type* elem, std::size_t count);
+    /// Array of `count` elements of `elem` (canonicalized). Raises a
+    /// diagnostic at `loc` + EclError unless `count` is positive and the
+    /// array fits in kMaxDataBytes.
+    const Type* arrayOf(const Type* elem, std::int64_t count, SourceLoc loc,
+                        Diagnostics& diags);
 
     /// Creates a struct/union with computed offsets. `name` is the display
-    /// name (typedef name or "struct Tag").
+    /// name (typedef name or "struct Tag"). Raises a diagnostic at `loc` +
+    /// EclError on a duplicate field or past kMaxDataBytes.
     const Type* makeAggregate(bool isUnion, std::string name,
                               std::vector<std::pair<std::string, const Type*>>
                                   fields,
-                              SourceLoc loc);
+                              SourceLoc loc, Diagnostics& diags);
 
     /// Binds `name` (a typedef name or "struct Tag") to `type`.
     void registerName(const std::string& name, const Type* type,

@@ -7,8 +7,7 @@
 #include <limits>
 #include <map>
 #include <span>
-
-#include "src/runtime/native_module.h"
+#include <string_view>
 
 namespace ecl::verify {
 
@@ -105,18 +104,21 @@ std::vector<MonitorWire> wireMonitor(const ModuleSema& design,
 // ---------------------------------------------------------------------------
 
 Explorer::ModuleCtx::ModuleCtx(const ModuleSema& sema,
+                               const efsm::FlatProgram& flat,
                                const rt::InstanceLayout& layout,
-                               std::shared_ptr<const bc::Program> code)
+                               std::shared_ptr<const bc::Program> code,
+                               std::shared_ptr<const rt::NativeModule> native)
     : slice(layout.stride, 0), present(sema.signals.size(), 0),
-      vm(std::move(code), sema, layout.varOffsets, layout.sigOffsets)
+      reactor(sema, flat, layout, std::move(code), std::move(native))
 {
 }
 
 Explorer::Worker::Worker(const Explorer& ex)
-    : design(ex.sema_, ex.layout_, ex.code_), emitRing(ex.nativeEmitSlots_, 0)
+    : design(ex.sema_, ex.flat_, ex.layout_, ex.code_, ex.native_)
 {
     if (ex.monSema_)
-        monitor.emplace(*ex.monSema_, ex.monLayout_, ex.monCode_);
+        monitor.emplace(*ex.monSema_, *ex.monFlat_, ex.monLayout_,
+                        ex.monCode_, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -125,9 +127,11 @@ Explorer::Worker::Worker(const Explorer& ex)
 
 Explorer::Explorer(const efsm::FlatProgram& flat,
                    std::shared_ptr<const bc::Program> code,
-                   const ModuleSema& sema, ExplorerOptions options)
+                   const ModuleSema& sema, ExplorerOptions options,
+                   std::shared_ptr<const rt::NativeModule> native)
     : flat_(flat), code_(std::move(code)), sema_(sema),
-      layout_(rt::computeInstanceLayout(sema)), options_(std::move(options))
+      layout_(rt::computeInstanceLayout(sema)), options_(std::move(options)),
+      native_(std::move(native))
 {
     if (!code_)
         throw EclError("Explorer requires the compiled bytecode program");
@@ -146,26 +150,12 @@ void Explorer::attachMonitor(const efsm::FlatProgram& flat,
 {
     if (ran_) throw EclError("attachMonitor after run()");
     if (monSema_) throw EclError("only one monitor is supported");
-    if (!code)
-        throw EclError("monitor module has no compiled bytecode program");
     wires_ = wireMonitor(sema_, sema);
     monFlat_ = &flat;
     monCode_ = std::move(code);
     monSema_ = &sema;
     monLayout_ = rt::computeInstanceLayout(sema);
     if (owner) owners_.push_back(std::move(owner));
-}
-
-void Explorer::attachNative(std::shared_ptr<const rt::NativeModule> native)
-{
-    if (ran_) throw EclError("attachNative after run()");
-    if (!native) throw EclError("attachNative: null native module");
-    // Same gate as every other native entry point: a module generated
-    // from different flat tables must not run over these arenas.
-    rt::validateNativeShape(native->info(), sema_, flat_, layout_);
-    nativeEmitSlots_ = std::max<std::size_t>(native->info().max_emits, 1);
-    nativeReact_ = native->react();
-    native_ = std::move(native);
 }
 
 void Explorer::addPredicate(std::string name, Predicate fn)
@@ -215,20 +205,18 @@ void Explorer::buildAlphabet()
     std::vector<std::int32_t> stack;
     for (std::size_t st = 0; st < flat_.states.size(); ++st) {
         std::fill(tested.begin(), tested.end(), 0);
-        if (options_.pruneInputs) {
-            stack.clear();
-            if (flat_.states[st].root >= 0)
-                stack.push_back(flat_.states[st].root);
-            while (!stack.empty()) {
-                const efsm::FlatNode& n =
-                    flat_.nodes[static_cast<std::size_t>(stack.back())];
-                stack.pop_back();
-                if (n.isLeaf()) continue;
-                if (n.testSignal >= 0)
-                    tested[static_cast<std::size_t>(n.testSignal)] = 1;
-                stack.push_back(n.onTrue);
-                stack.push_back(n.onFalse);
-            }
+        stack.clear();
+        if (flat_.states[st].root >= 0)
+            stack.push_back(flat_.states[st].root);
+        while (!stack.empty()) {
+            const efsm::FlatNode& n =
+                flat_.nodes[static_cast<std::size_t>(stack.back())];
+            stack.pop_back();
+            if (n.isLeaf()) continue;
+            if (n.testSignal >= 0)
+                tested[static_cast<std::size_t>(n.testSignal)] = 1;
+            stack.push_back(n.onTrue);
+            stack.push_back(n.onFalse);
         }
 
         std::vector<int> rel;
@@ -241,8 +229,7 @@ void Explorer::buildAlphabet()
             // this state's reaction — unless the monitor observes it.
             // Valued inputs always can (their value write persists in
             // the state bytes).
-            if (options_.pruneInputs && sig.pure &&
-                !tested[static_cast<std::size_t>(sig.index)] &&
+            if (sig.pure && !tested[static_cast<std::size_t>(sig.index)] &&
                 !monitorWired[static_cast<std::size_t>(sig.index)])
                 continue;
             rel.push_back(sig.index);
@@ -290,29 +277,15 @@ void Explorer::resolveChecks()
     const ModuleSema& checked = monSema_ ? *monSema_ : sema_;
     const Violation::Kind kind = monSema_ ? Violation::Kind::MonitorSignal
                                           : Violation::Kind::DesignSignal;
-    if (!options_.violationSignals.empty()) {
-        for (const std::string& name : options_.violationSignals) {
-            const SignalInfo* s = checked.findSignal(name);
-            if (!s)
-                throw EclError("violation signal '" + name +
-                               "' not found in the " +
-                               (monSema_ ? "monitor" : "design") +
-                               std::string(" module"));
-            checks_.push_back({kind, s->index, 0, s->name});
-        }
-    } else {
-        for (const SignalInfo& s : checked.signals) {
-            if (s.dir == SignalDir::Input) continue;
-            if (lowercase(s.name).find("violation") == std::string::npos)
-                continue;
-            checks_.push_back({kind, s.index, 0, s.name});
-        }
+    for (const SignalInfo& s : checked.signals) {
+        if (s.dir == SignalDir::Input) continue;
+        if (lowercase(s.name).find("violation") == std::string::npos)
+            continue;
+        checks_.push_back({kind, s.index, 0, s.name});
     }
     if (monSema_ && checks_.empty() && predicates_.empty())
-        throw EclError(
-            "monitor flags nothing: no signal named *violation* and no "
-            "registered predicate (name one in "
-            "ExplorerOptions::violationSignals)");
+        throw EclError("monitor flags nothing: no signal named *violation* "
+                       "and no registered predicate");
     for (std::size_t i = 0; i < predicates_.size(); ++i)
         checks_.push_back(
             {Violation::Kind::Predicate, -1, i, predicates_[i].first});
@@ -570,19 +543,11 @@ void Explorer::expandOne(Worker& w, const std::uint8_t* rec, std::uint32_t id,
     int newDs = ds;
     int newMs = -1;
     try {
-        // Successors run the kernel's no-bookkeeping walk, or its native
-        // call; either way with the kernel's fresh budget per reaction,
-        // and a trap carries the same message.
-        if (nativeReact_) {
-            newDs = rt::reactNative(nativeReact_, w.design.slice.data(),
-                                    w.design.present.data(),
-                                    w.emitRing.data(), ds)
-                        .state;
-        } else {
-            newDs = rt::reactFlat(flat_, w.design.vm, w.design.slice.data(),
-                                  w.design.present.data(), ds,
-                                  rt::NoBookkeeping{});
-        }
+        // Either backend reacts with the kernel's fresh budget, and a
+        // trap carries the same message.
+        newDs = w.design.reactor
+                    .react(w.design.slice.data(), w.design.present.data(), ds)
+                    .state;
         if (monSema_) {
             const int ms = readI32(rec + 4);
             std::memcpy(w.monitor->slice.data(),
@@ -624,10 +589,10 @@ void Explorer::expandOne(Worker& w, const std::uint8_t* rec, std::uint32_t id,
                             std::memcpy(dst, src, msig.valueType->size());
                     }
                 }
-                newMs = rt::reactFlat(*monFlat_, w.monitor->vm,
-                                      w.monitor->slice.data(),
-                                      w.monitor->present.data(), ms,
-                                      rt::NoBookkeeping{});
+                newMs = w.monitor->reactor
+                            .react(w.monitor->slice.data(),
+                                   w.monitor->present.data(), ms)
+                            .state;
             }
         }
     } catch (const EclError& e) {
@@ -950,7 +915,9 @@ ExploreResult Explorer::run()
     out.stats.storeKind = store_->kind();
     out.stats.lossyStore = store_->lossy();
     out.stats.storeMemoryBytes = store_->memoryBytes();
-    out.stats.usedNativeSuccessors = nativeReact_ != nullptr;
+    out.stats.usedNativeSuccessors =
+        std::string_view(workers_.front()->design.reactor.backendName()) ==
+        "native";
     for (const auto& w : workers_)
         out.stats.lettersReduced += w->lettersReduced;
     out.stats.seconds =

@@ -26,13 +26,13 @@
 // (ExplorerOptions: {0,1} for scalars by default, the zero value for
 // aggregates). Letters are enumerated in a canonical mixed-radix order
 // (lowest signal index = least significant digit, absent < domain
-// values), capped by kMaxLettersPerState. Dirty-set pruning: a *pure*
-// input whose presence is never tested by the current control state's
-// decision tree cannot affect the reaction, so it is held absent —
-// valued inputs always stay in the alphabet because their value write
-// persists in the state bytes. Pruning is sound for reachability and
-// for minimal counterexamples (the minimal trace never sets an
-// untested pure input).
+// values), capped by kMaxLettersPerState. Dirty-set pruning, always on:
+// a *pure* input whose presence is never tested by the current control
+// state's decision tree, and that no monitor observes, cannot affect the
+// reaction, so it is held absent — valued inputs always stay in the
+// alphabet because their value write persists in the state bytes.
+// Pruning is sound for reachability and for minimal counterexamples (the
+// minimal trace never sets an untested pure input).
 //
 // Partial-order reduction (ExplorerOptions::partialOrder, default off) —
 // a composite letter {a, b, ...} of pure inputs commutes with its
@@ -56,12 +56,12 @@
 // Frontier expansion — breadth-first: each depth level is a contiguous
 // id range; worker threads expand disjoint contiguous chunks of it
 // through the flat kernel (src/runtime/flat_kernel.h) — per worker and
-// module one arena slice, one presence row and one bc::Vm, the batch
-// runtime's shard discipline, run by rt::reactFlat without bookkeeping —
-// hashing each successor record (StateStore::hashBytes) as they write
-// it and probing the store with it read-only one reaction later, once a
-// prefetch has pulled the probe's memory in: a successor the store
-// already holds is counted and dropped there. The rest are merged
+// module one arena slice, one presence row and one rt::Reactor, the
+// batch runtime's shard discipline — hashing each successor record
+// (StateStore::hashBytes) as they write it and probing the store with it
+// read-only one reaction later, once a prefetch has pulled the probe's
+// memory in: a successor the store already holds is counted and dropped
+// there. The rest are merged
 // in three steps, all in canonical frontier x letter order (worker
 // chunks are ascending frontier ranges, so worker order then successor
 // order IS canonical):
@@ -86,21 +86,21 @@
 // ExploreStats::expandSeconds/mergeSeconds split a run's time between
 // expansion and the three merge steps.
 //
-// Native successors — when an AOT-compiled module is attached
-// (attachNative / ExplorerOptions::nativeSuccessors via
-// CompiledModule::makeExplorer), workers compute DESIGN successors
-// through the kernel's native call (rt::reactNative) instead of the
-// bytecode VM: same arena slice, same presence bytes, same trap
-// messages, bit-exact states (differentially tested). The monitor, when
-// attached, always reacts through the VM.
+// Native successors — when the explorer is built with an AOT-compiled
+// module (its `native` argument, which CompiledModule::makeExplorer
+// passes for ExplorerOptions::nativeSuccessors), each worker's design
+// reactor runs the generated C instead of the bytecode VM: same arena
+// slice, same presence bytes, same trap messages, bit-exact states
+// (differentially tested). The monitor, when attached, always reacts
+// through the VM.
 //
 // Violations — three sources, checked per *transition* (emissions are
 // per-instant and not part of the packed state):
 //  * a monitor module attached with attachMonitor(): its inputs are
 //    wired by name to design signals, it reacts synchronously on the
-//    design's every instant, and emitting any violation signal
-//    (ExplorerOptions::violationSignals, default any signal whose name
-//    contains "violation") flags the transition;
+//    design's every instant, and emitting any violation signal (any
+//    non-input signal whose name contains "violation", in any case)
+//    flags the transition;
 //  * the same signal check on the design itself when no monitor is
 //    attached;
 //  * registered predicates over the post-reaction design state bytes.
@@ -218,9 +218,6 @@ struct ExplorerOptions {
     /// Hard cap on interned states; hitting it marks the result
     /// incomplete (deterministically — interning order is canonical).
     std::uint32_t maxStates = 1u << 20;
-    /// Hold pure inputs absent in states whose decision tree never tests
-    /// them (sound; see the header comment). Off = full alphabet.
-    bool pruneInputs = true;
     /// Which StateStore implementation holds the reachable set.
     StoreKind storeKind = StoreKind::Exact;
     /// State-store byte budget. Bitstate sizes its bit table from it
@@ -230,18 +227,14 @@ struct ExplorerOptions {
     /// Partial-order reduction over independent pure input letters
     /// (see the header comment for the exact commutation check).
     bool partialOrder = false;
-    /// Ask CompiledModule::makeExplorer to attach the module's AOT
-    /// native reaction for design successor computation (silently
-    /// falls back to the VM when the backend is unavailable — check
-    /// ExploreStats::usedNativeSuccessors).
+    /// Ask CompiledModule::makeExplorer to hand the explorer the
+    /// module's AOT native reaction for design successor computation
+    /// (silently falls back to the VM when the backend is unavailable —
+    /// check ExploreStats::usedNativeSuccessors).
     bool nativeSuccessors = false;
     /// Candidate values for scalar-valued inputs, keyed by input-signal
     /// name; a signal without an entry uses kDefaultScalarDomain.
     std::map<std::string, std::vector<std::int64_t>> scalarDomains;
-    /// Names of violation signals in the monitored module (monitor when
-    /// attached, else the design). Empty = any signal whose lowercase
-    /// name contains "violation".
-    std::vector<std::string> violationSignals;
 };
 
 /// Read-only view of one packed design state (predicate interface).
@@ -295,10 +288,14 @@ class Explorer {
 public:
     /// `flat`, `sema` and the structures behind `code` must outlive the
     /// explorer (retain() the CompiledModule, or use
-    /// CompiledModule::makeExplorer which does).
+    /// CompiledModule::makeExplorer which does). When `native` is
+    /// non-null, workers compute design successors with it (bit-exact
+    /// with the VM path); run() rejects a module whose shape record does
+    /// not match the design tables.
     Explorer(const efsm::FlatProgram& flat,
              std::shared_ptr<const bc::Program> code, const ModuleSema& sema,
-             ExplorerOptions options = {});
+             ExplorerOptions options = {},
+             std::shared_ptr<const rt::NativeModule> native = nullptr);
 
     Explorer(const Explorer&) = delete;
     Explorer& operator=(const Explorer&) = delete;
@@ -316,13 +313,6 @@ public:
                        std::shared_ptr<const bc::Program> code,
                        const ModuleSema& sema,
                        std::shared_ptr<const void> owner = nullptr);
-
-    /// Attaches the design's AOT-compiled reaction function: workers
-    /// call it for design successor computation (bit-exact with the VM
-    /// path). Validates the module's shape record against the design
-    /// tables; throws EclError on mismatch. Must be called before
-    /// run().
-    void attachNative(std::shared_ptr<const rt::NativeModule> native);
 
     /// Registers a safety predicate over post-reaction design states;
     /// returning true flags the transition as a violation.
@@ -366,10 +356,12 @@ private:
     struct ModuleCtx {
         std::vector<std::uint8_t> slice;   ///< stride bytes, zeroed.
         std::vector<std::uint8_t> present; ///< One byte per signal.
-        bc::Vm vm;                         ///< Reacts `slice`.
+        rt::Reactor reactor;               ///< Reacts `slice`.
 
-        ModuleCtx(const ModuleSema& sema, const rt::InstanceLayout& layout,
-                  std::shared_ptr<const bc::Program> code);
+        ModuleCtx(const ModuleSema& sema, const efsm::FlatProgram& flat,
+                  const rt::InstanceLayout& layout,
+                  std::shared_ptr<const bc::Program> code,
+                  std::shared_ptr<const rt::NativeModule> native);
     };
 
     /// One expanded successor the store does not hold yet, recorded by a
@@ -403,7 +395,6 @@ private:
     struct Worker {
         ModuleCtx design;
         std::optional<ModuleCtx> monitor;
-        std::vector<std::int32_t> emitRing; ///< Native-successor scratch.
         std::vector<std::uint8_t> packed; ///< Succ records, packedSize each.
         std::vector<Succ> succs;
         /// The last successor written (its record ends `packed`), store
@@ -506,10 +497,8 @@ private:
     rt::InstanceLayout monLayout_;
     std::vector<MonitorWire> wires_;
 
-    // Native successor function (optional).
+    /// Design successors' AOT module (optional).
     std::shared_ptr<const rt::NativeModule> native_;
-    rt::EclNativeReactFn nativeReact_ = nullptr;
-    std::size_t nativeEmitSlots_ = 1;
 
     // Packed-record geometry.
     std::size_t headerBytes_ = 4;

@@ -291,5 +291,23 @@ TEST(AllocBytes, AddingInstancesRequestsTheirBytes)
     }
 }
 
+TEST(AllocBytes, BigRecordsArePagedOneAtATime)
+{
+    // A page holds at most 4 MiB of records, or a single bigger one: a
+    // 4 MiB instance requests its own bytes, where a page of 1024 such
+    // records would request 4 GiB.
+    Compiler compiler("module m (input int v, output int o) {\n"
+                      "  int a[1048576];\n"
+                      "  while (1) { await (v); emit_v (o, a[v & 1023]); }\n"
+                      "}\n");
+    auto mod = compiler.compile("m");
+    auto batch = mod->makeBatchEngine(0);
+    AllocCount count;
+    for (int i = 0; i < 3; ++i) batch->addInstance();
+    (void)count.stop();
+    EXPECT_LE(gBytes.load(), 3 * batch->bytesPerInstance() + 4096)
+        << "bytesPerInstance() " << batch->bytesPerInstance();
+}
+
 } // namespace
 } // namespace ecl

@@ -657,6 +657,55 @@ TEST(BatchPageSmoke, NativeInstancesAcrossPageEdges)
     checkPageEdges(EngineKind::Native);
 }
 
+// A 4 MiB instance gets a page of its own (1024 records of it would be
+// 4 GiB): instances on consecutive pages react, stage, reset and restore
+// independently, each equal to a single engine fed the same values.
+TEST(BatchPageSmoke, BigRecordsGetAPageEach)
+{
+    Compiler compiler("module m (input int v, output int o) {\n"
+                      "  int a[1048576];\n"
+                      "  while (1) {\n"
+                      "    await (v);\n"
+                      "    a[(v * 7919) & 1048575] += v;\n"
+                      "    emit_v (o, a[(v * 7919) & 1048575] + a[1048575]);\n"
+                      "  }\n"
+                      "}\n");
+    auto mod = compiler.compile("m");
+    const int v = mod->moduleSema().findSignal("v")->index;
+    const int o = mod->moduleSema().findSignal("o")->index;
+    constexpr std::size_t kInstances = 3;
+    auto batch = mod->makeBatchEngine(kInstances);
+    std::vector<std::unique_ptr<rt::ReactiveEngine>> ref;
+    for (std::size_t i = 0; i < kInstances; ++i)
+        ref.push_back(mod->makeEngine());
+    batch->step();
+    for (auto& e : ref) e->react();
+    for (std::int64_t round = 1; round <= 4; ++round) {
+        for (std::size_t i = 0; i < kInstances; ++i) {
+            const std::int64_t value =
+                round * 131071 + static_cast<std::int64_t>(i);
+            batch->setInputScalar(i, v, value);
+            ref[i]->setInputScalar(v, value);
+            ref[i]->react();
+        }
+        ASSERT_EQ(batch->step(), kInstances);
+        for (std::size_t i = 0; i < kInstances; ++i) {
+            EXPECT_EQ(batch->outputValue(i, o).toInt(),
+                      ref[i]->outputValue(o).toInt())
+                << "round " << round << " inst " << i;
+            EXPECT_EQ(batch->packInstanceState(i), ref[i]->packState())
+                << "round " << round << " inst " << i;
+        }
+    }
+    // Instance 1 takes instance 0's state; instance 2 starts over.
+    const std::vector<std::uint8_t> donor = batch->packInstanceState(0);
+    batch->restoreInstanceState(1, donor.data(), donor.size());
+    batch->resetInstance(2);
+    EXPECT_EQ(batch->packInstanceState(1), donor);
+    EXPECT_EQ(batch->packInstanceState(2),
+              mod->makeEngine()->packState());
+}
+
 // lastResult() reports only a reaction of the last step: it throws for an
 // instance that did not react, for one whose reaction trapped, and for
 // one reset since — a reused slot never shows its previous tenant's

@@ -511,4 +511,107 @@ TEST(EclcCli, AsyncExitIsFirstFailingTaskCode)
     EXPECT_EQ(runEclc(src + " --async --emit verilog --emit bogus"), 2);
 }
 
+// --- big modules: the data cap, paged records and out of memory ------------
+
+/// A module of 4 MiB of instance data.
+const char* kFourMiBModule =
+    "module m (input int v, output int o) {\n"
+    "  int a[1048576];\n"
+    "  while (1) { await (v); a[v & 1023] = v; emit_v (o, a[v & 1023]); }\n"
+    "}\n";
+
+TEST(EclcCli, DataPastTheCapExit1)
+{
+    // Each dimension of the 2-D array is 2^32: 16 GiB a row.
+    const std::string twoD = writeTemp(
+        "eclc_cap_2d.ecl",
+        "module m (input int v, output int o) {"
+        " int a[4294967296][4294967296];"
+        " while (1) { await (v); a[v & 1023][7] = v;"
+        " emit_v (o, a[v & 1023][7]); } }\n");
+    EXPECT_EQ(runEclc("--emit stats " + twoD), 1);
+    EXPECT_EQ(runEclc(twoD + " --record-trace " + ::testing::TempDir() +
+                      "eclc_cap_2d.trc"),
+              1);
+    EXPECT_EQ(runEclc("--emit stats " +
+                      writeTemp("eclc_cap_int.ecl",
+                                "module m (input pure p) {"
+                                " int a0[2147483647]; }\n")),
+              1);
+    // Two 200 MB arrays: each fits under the cap, the instance does not.
+    EXPECT_EQ(runEclc("--emit stats " +
+                      writeTemp("eclc_cap_sum.ecl",
+                                "module m (input pure p) {"
+                                " int a[50000000]; int b[50000000]; }\n")),
+              1);
+    EXPECT_EQ(runEclc("--emit stats " +
+                      writeTemp("eclc_cap_4mib.ecl", kFourMiBModule)),
+              0);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define ECL_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define ECL_SANITIZED 1
+#endif
+#endif
+
+/// Runs eclc with its address space capped at `kib` KiB (`ulimit -v`),
+/// stdout discarded and stderr captured into `err`. The sanitizers'
+/// shadow memory does not fit under such a cap, so their builds skip.
+int runEclcLimited(const std::string& args, long kib, std::string& err)
+{
+    const std::string errPath = ::testing::TempDir() + "eclc_limited.err";
+    const std::string cmd = "ulimit -v " + std::to_string(kib) + " && exec " +
+                            eclcPath() + " " + args + " > /dev/null 2> " +
+                            errPath;
+    const int status = std::system(cmd.c_str());
+    std::ifstream in(errPath);
+    err.assign(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+    if (status == -1) return -1;
+    if (WIFEXITED(status)) return WEXITSTATUS(status);
+    return -2;
+}
+
+TEST(EclcCli, BigModuleReplaysUnderAnAddressSpaceCap)
+{
+#ifdef ECL_SANITIZED
+    GTEST_SKIP() << "address-space caps do not apply under sanitizers";
+#endif
+    const std::string src = writeTemp("eclc_big_4mib.ecl", kFourMiBModule);
+    const std::string trace = ::testing::TempDir() + "eclc_big_4mib.trc";
+    ASSERT_EQ(runEclc(src + " --record-trace " + trace +
+                      " --stim-instants 20"),
+              0);
+    // Every replay row holds a 4 MiB instance; the batch row's must not
+    // reserve a page of 1024 of them.
+    std::string err;
+    EXPECT_EQ(runEclcLimited(src + " --replay-trace " + trace, 3'000'000,
+                             err),
+              0)
+        << err;
+}
+
+TEST(EclcCli, OutOfMemoryExit1)
+{
+#ifdef ECL_SANITIZED
+    GTEST_SKIP() << "address-space caps do not apply under sanitizers";
+#endif
+    // 200 MB of instance data: under the cap, over a 150 MB address space.
+    const std::string src = writeTemp(
+        "eclc_big_200mb.ecl",
+        "module m (input int v, output int o) {\n"
+        "  int a[50000000];\n"
+        "  while (1) { await (v); a[v & 1023] = v; emit_v (o, a[v & 1023]); }\n"
+        "}\n");
+    std::string err;
+    EXPECT_EQ(runEclcLimited(src + " --record-trace " + ::testing::TempDir() +
+                                 "eclc_big_200mb.trc --stim-instants 5",
+                             150'000, err),
+              1);
+    EXPECT_NE(err.find("eclc: out of memory"), std::string::npos) << err;
+}
+
 } // namespace

@@ -182,16 +182,16 @@ TEST(NativeCodegen, ModuleInfoMatchesCompiledShape)
     auto mod = compilePaper(kPaperCases[3], 2); // toplevel
     auto eng = mod->makeEngine(EngineKind::Native);
     ASSERT_STREQ(eng->backendName(), "native");
-    auto* native = dynamic_cast<rt::NativeEngine*>(eng.get());
-    ASSERT_NE(native, nullptr);
-    const rt::EclNativeInfo& info = native->nativeModule().info();
+    const auto native = mod->nativeModule(); // the module `eng` runs
+    const rt::EclNativeInfo& info = native->info();
     EXPECT_EQ(info.abi_version, rt::kEclNativeAbiVersion);
     rt::InstanceLayout layout =
         rt::computeInstanceLayout(mod->moduleSema());
     EXPECT_EQ(info.data_bytes, layout.dataBytes);
     EXPECT_EQ(info.signals, mod->moduleSema().signals.size());
     EXPECT_STREQ(info.module_name, "toplevel");
-    EXPECT_FALSE(native->nativeModule().objectPath().empty());
+    EXPECT_EQ(info.max_emits, mod->flatProgram().outputRingSlots());
+    EXPECT_FALSE(native->objectPath().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -643,6 +643,26 @@ TEST(NativeFallback, MissingCompilerFallsBackToVm)
         corpus::runStimulus(*eng, corpus::Profile::Random, 1, 40);
     EXPECT_FALSE(trace.empty());
     std::filesystem::remove_all(cache);
+}
+
+TEST(NativeBuild, CacheDirWithAQuoteAndASpaceBuilds)
+{
+    // The compiler runs from an argument vector: no shell parses the
+    // paths, and $CC may carry words of its own ("ccache gcc").
+    const std::string cc = syntaxCheckCompiler();
+    if (cc.empty()) GTEST_SKIP() << "no host C compiler on PATH";
+    for (const std::string& compiler : {cc, "env " + cc}) {
+        SCOPED_TRACE("CC=" + compiler);
+        auto cache = freshTempDir("it's a dir");
+        ScopedEnv ccEnv("CC", compiler.c_str());
+        ScopedEnv dir("ECL_NATIVE_CACHE_DIR", cache.string().c_str());
+        auto mod = compilePaper(kPaperCases[6], 2);
+        auto eng = mod->makeEngine(EngineKind::Native);
+        EXPECT_STREQ(eng->backendName(), "native");
+        // nativeModule() rethrows why the backend is unavailable.
+        EXPECT_EQ(mod->nativeModule()->compiler(), compiler);
+        std::filesystem::remove_all(cache);
+    }
 }
 
 TEST(NativeFallback, NativeModuleBuildReportsCompilerError)

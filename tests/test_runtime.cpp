@@ -339,6 +339,7 @@ TEST(KernelTrapParity, OpBudgetOpensPerReaction)
     vm.setOpBudget(kBudget);
     std::vector<std::uint8_t> slice(layout.dataBytes, 0);
     std::vector<std::uint8_t> present(sema.signals.size(), 0);
+    std::vector<std::int32_t> ring(mod->flatProgram().outputRingSlots(), 0);
     int state = mod->flatProgram().initialState;
     auto react = [&](std::int64_t iterations) {
         std::fill(present.begin(), present.end(), 0);
@@ -347,7 +348,8 @@ TEST(KernelTrapParity, OpBudgetOpensPerReaction)
                         layout.sigOffsets[static_cast<std::size_t>(n.index)],
                     n.valueType, iterations);
         state = rt::reactFlat(mod->flatProgram(), vm, slice.data(),
-                              present.data(), state, rt::NoBookkeeping{});
+                              present.data(), ring.data(), state)
+                    .state;
     };
     react(0); // boot reaches the await
     EXPECT_NO_THROW(react(kBudget * 6 / 100));

@@ -98,8 +98,9 @@ typedef union { packet_view_1_t raw; packet_view_2_t cooked; } packet_t;
 TEST(TypeLayoutTest, ArrayCanonicalization)
 {
     TypeTable t;
-    const Type* a1 = t.arrayOf(t.intType(), 4);
-    const Type* a2 = t.arrayOf(t.intType(), 4);
+    Diagnostics diags;
+    const Type* a1 = t.arrayOf(t.intType(), 4, {}, diags);
+    const Type* a2 = t.arrayOf(t.intType(), 4, {}, diags);
     EXPECT_EQ(a1, a2);
     EXPECT_EQ(a1->size(), 16u);
 }
@@ -117,6 +118,36 @@ TEST(TypeLayoutTest, NestedArrays)
 TEST(TypeLayoutTest, DuplicateFieldRejected)
 {
     expectSemaError("typedef struct { int a; int a; } t;", "duplicate field");
+}
+
+TEST(TypeLayoutTest, TypesPastTheDataCapRejected)
+{
+    // 2^32 x 2^32 ints: the inner dimension alone is 16 GiB.
+    expectSemaError("module m (input int v, output int o) {\n"
+                    "  int a[4294967296][4294967296];\n"
+                    "  while (1) { await (v); emit_v (o, a[v & 1023][7]); }\n"
+                    "}\n",
+                    "2:7: type 'int[4294967296]' is larger than 268435456 "
+                    "bytes",
+                    "m");
+    expectSemaError("module m (input pure a) { int a0[2147483647]; }",
+                    "type 'int[2147483647]' is larger than", "m");
+    // Fields of 128 MiB each sum past the cap.
+    expectSemaError("typedef struct { char x[134217728]; char y[134217728];"
+                    " char z; } big_t;",
+                    "type 'big_t' is larger than 268435456 bytes");
+    expectSemaError("typedef int neg_t[-1];",
+                    "array dimension must be positive");
+}
+
+TEST(TypeLayoutTest, TypesUpToTheDataCapAccepted)
+{
+    auto a = analyze("typedef struct { char x[134217728]; char y[134217728]; }"
+                     " big_t;\n"
+                     "module m (input pure p) { int a[1048576]; }");
+    EXPECT_EQ(a->sema.types.lookup("big_t")->size(), kMaxDataBytes);
+    EXPECT_EQ(analyzeFlat(*a, "m").vars.front().type->size(), 4u << 20);
+    EXPECT_FALSE(a->diags.hasErrors());
 }
 
 // --- constants ---------------------------------------------------------------

@@ -669,6 +669,35 @@ TEST(ServeTrap, EveryShardErrorClearedInTheRoundThatRaisedIt)
     ASSERT_EQ(fleet.submitScalar(a, v, 5), serve::SubmitStatus::Ok);
     EXPECT_EQ(fleet.step(), 1u);
     EXPECT_EQ(fleet.outputValue(a, o).toInt(), 20);
+    // Presence is the last completed reaction's: b's trapped, so it
+    // still shows its boot, which emitted nothing.
+    EXPECT_TRUE(fleet.outputPresent(a, o));
+    EXPECT_FALSE(fleet.outputPresent(b, o));
+    EXPECT_FALSE(fleet.terminated(a));
+    EXPECT_FALSE(fleet.terminated(b));
+}
+
+// A session's termination is its own: the one that saw its input ends,
+// the other still waits.
+TEST(ServeQueries, TerminationIsPerSession)
+{
+    Compiler compiler("module m (input pure a, output pure o)"
+                      " { await (a); emit (o); }");
+    auto mod = compiler.compile("m");
+    const int a = sigIndex(*mod, "a");
+    const int o = sigIndex(*mod, "o");
+    serve::FleetOptions opts;
+    opts.shards = 2;
+    serve::ShardedFleet fleet(mod, opts);
+    const serve::SessionId x = fleet.admitOn(0).session;
+    const serve::SessionId y = fleet.admitOn(1).session;
+    fleet.step(); // boot both sessions to the await
+    ASSERT_EQ(fleet.submit(x, a), serve::SubmitStatus::Ok);
+    EXPECT_EQ(fleet.step(), 1u);
+    EXPECT_TRUE(fleet.terminated(x));
+    EXPECT_TRUE(fleet.outputPresent(x, o));
+    EXPECT_FALSE(fleet.terminated(y));
+    EXPECT_FALSE(fleet.outputPresent(y, o));
 }
 
 // A round in which one session traps still delivers the events of every
@@ -714,9 +743,13 @@ TEST(ServeTrap, TrappingShardDeliversItsReactedSessionsEvents)
             std::sort(reacted.begin(), reacted.end());
             std::sort(expected.begin(), expected.end());
             EXPECT_EQ(reacted, expected);
-            for (std::size_t i = 1; i < ids.size(); ++i)
+            for (std::size_t i = 1; i < ids.size(); ++i) {
                 EXPECT_EQ(fleet.outputValue(ids[i], o).toInt(), 20)
                     << "session " << i;
+                EXPECT_TRUE(fleet.outputPresent(ids[i], o)) << "session " << i;
+                EXPECT_FALSE(fleet.terminated(ids[i])) << "session " << i;
+            }
+            EXPECT_FALSE(fleet.outputPresent(ids[0], o));
         }
     }
 }
