@@ -6,6 +6,18 @@ namespace ecl {
 
 using namespace ast;
 
+namespace {
+
+/// Records `msg` as the diagnostic at `loc` and throws the same text.
+[[noreturn]] void reject(SourceLoc loc, const std::string& msg,
+                         Diagnostics& diags)
+{
+    diags.error(loc, msg);
+    throw EclError(loc, msg);
+}
+
+} // namespace
+
 // ---------------------------------------------------------------------------
 // Constant expressions
 // ---------------------------------------------------------------------------
@@ -14,8 +26,7 @@ std::int64_t evalConstExpr(const Expr& e, const ProgramSema& sema,
                            Diagnostics& diags)
 {
     auto fail = [&](const std::string& msg) -> std::int64_t {
-        diags.error(e.loc, msg);
-        throw EclError(e.loc, msg);
+        reject(e.loc, msg, diags);
     };
 
     switch (e.kind) {
@@ -115,10 +126,8 @@ const Type* buildAggregate(const AggregateDef& def, const std::string& name,
     for (const FieldDecl& f : def.fields) {
         const Type* ft =
             resolveFieldType(f.type, f.decl.arrayDims, sema, diags);
-        if (ft->isVoid()) {
-            diags.error(f.decl.loc, "field cannot have void type");
-            throw EclError(f.decl.loc, "field cannot have void type");
-        }
+        if (ft->isVoid())
+            reject(f.decl.loc, "field cannot have void type", diags);
         fields.emplace_back(f.decl.name, ft);
     }
     return sema.types.makeAggregate(def.isUnion, name, std::move(fields),
@@ -167,10 +176,9 @@ ProgramSema analyzeProgramDecls(const Program& program, Diagnostics& diags)
         }
         case DeclKind::Function: {
             const auto& x = static_cast<const FunctionDecl&>(*d);
-            if (sema.functions.count(x.name)) {
-                diags.error(x.loc, "redefinition of function '" + x.name + "'");
-                throw EclError(x.loc, "redefinition of function");
-            }
+            if (sema.functions.count(x.name))
+                reject(x.loc, "redefinition of function '" + x.name + "'",
+                       diags);
             FunctionInfo info;
             info.decl = &x;
             info.returnType =
@@ -188,24 +196,21 @@ ProgramSema analyzeProgramDecls(const Program& program, Diagnostics& diags)
             break;
         case DeclKind::GlobalVar: {
             const auto& x = static_cast<const GlobalVarDecl&>(*d);
-            if (!x.isConst) {
-                diags.error(x.loc,
-                            "file-scope variables must be 'const' in ECL "
-                            "(Esterel scoping; see paper Section 3)");
-                throw EclError(x.loc, "file-scope variables must be 'const' in ECL");
-            }
+            if (!x.isConst)
+                reject(x.loc,
+                       "file-scope variables must be 'const' in ECL "
+                       "(Esterel scoping; see paper Section 3)",
+                       diags);
             for (const Declarator& decl : x.decls) {
-                if (!decl.arrayDims.empty()) {
-                    diags.error(decl.loc,
-                                "const arrays at file scope are not "
-                                "supported; use #define tables or locals");
-                    throw EclError(decl.loc, "const array global");
-                }
-                if (!decl.init) {
-                    diags.error(decl.loc, "const '" + decl.name +
-                                              "' needs an initializer");
-                    throw EclError(decl.loc, "const without initializer");
-                }
+                if (!decl.arrayDims.empty())
+                    reject(decl.loc,
+                           "const arrays at file scope are not supported; "
+                           "use #define tables or locals",
+                           diags);
+                if (!decl.init)
+                    reject(decl.loc,
+                           "const '" + decl.name + "' needs an initializer",
+                           diags);
                 sema.constants[decl.name] =
                     evalConstExpr(*decl.init, sema, diags);
             }

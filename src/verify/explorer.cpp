@@ -8,6 +8,7 @@
 #include <map>
 #include <span>
 #include <string_view>
+#include <type_traits>
 
 namespace ecl::verify {
 
@@ -114,7 +115,8 @@ Explorer::ModuleCtx::ModuleCtx(const ModuleSema& sema,
 }
 
 Explorer::Worker::Worker(const Explorer& ex)
-    : design(ex.sema_, ex.flat_, ex.layout_, ex.code_, ex.native_)
+    : design(ex.sema_, ex.flat_, ex.layout_, ex.code_, ex.native_),
+      packed(ex.packedSize_)
 {
     if (ex.monSema_)
         monitor.emplace(*ex.monSema_, *ex.monFlat_, ex.monLayout_,
@@ -625,9 +627,7 @@ void Explorer::expandOne(Worker& w, const std::uint8_t* rec, std::uint32_t id,
     // The previous successor's probe had this reaction's time to pull
     // its store memory into cache.
     settleProbe(w);
-    const std::size_t off = w.packed.size();
-    w.packed.resize(off + packedSize_);
-    std::uint8_t* out = w.packed.data() + off;
+    std::uint8_t* out = w.packed.push();
     writeI32(out, newDs);
     if (monSema_) writeI32(out + 4, newMs);
     std::memcpy(out + headerBytes_, w.design.slice.data(), layout_.dataBytes);
@@ -636,7 +636,7 @@ void Explorer::expandOne(Worker& w, const std::uint8_t* rec, std::uint32_t id,
                     w.monitor->slice.data(), monLayout_.dataBytes);
     if (check >= 0) {
         w.hit = Hit{id, letterIdx, check, {}, {out, out + packedSize_}};
-        w.packed.resize(off);
+        w.packed.pop();
         return;
     }
     // Hashed here, in parallel, and probed against the store one
@@ -652,9 +652,8 @@ void Explorer::settleProbe(Worker& w)
     if (!w.probing) return;
     const Succ s = *w.probing;
     w.probing.reset();
-    const std::size_t off = w.packed.size() - packedSize_;
-    if (store_->contains(w.packed.data() + off, s.hash)) {
-        w.packed.resize(off);
+    if (store_->contains(w.packed.at(w.packed.size() - 1), s.hash)) {
+        w.packed.pop();
         return;
     }
     const auto index = static_cast<std::uint32_t>(w.succs.size());
@@ -686,10 +685,7 @@ void Explorer::expandRange(Worker& w, std::uint32_t begin, std::uint32_t end)
 
 const std::uint8_t* Explorer::frontierRecord(std::uint32_t id) const
 {
-    return exact_ ? exact_->record(id)
-                  : levelRecs_.data() +
-                        static_cast<std::size_t>(id - levelBase_) *
-                            packedSize_;
+    return exact_ ? exact_->record(id) : levelRecs_->at(id - levelBase_);
 }
 
 // ---------------------------------------------------------------------------
@@ -720,9 +716,7 @@ void Explorer::dedupeShards(std::size_t t)
         for (const auto& wp : workers_) {
             Worker& w = *wp;
             for (const Bucketed& e : w.buckets[s]) {
-                const std::uint8_t* rec =
-                    w.packed.data() +
-                    static_cast<std::size_t>(e.index) * packedSize_;
+                const std::uint8_t* rec = w.packed.at(e.index);
                 std::size_t slot = e.hash & seen.mask;
                 for (;; slot = (slot + 1) & seen.mask) {
                     const FirstSeen::Slot& cur = seen.slots[slot];
@@ -782,13 +776,10 @@ void Explorer::placeRecords(std::size_t t)
     for (std::size_t i = 0; i < w.ids.size(); ++i) {
         const std::uint32_t id = w.ids[i];
         if (!committed(id)) continue;
-        const std::uint8_t* rec = w.packed.data() + i * packedSize_;
+        const std::uint8_t* rec = w.packed.at(static_cast<std::uint32_t>(i));
         store_->place(id, rec, w.succs[i].hash);
         if (!exact_)
-            std::memcpy(levelRecs_.data() +
-                            static_cast<std::size_t>(id - levelBase_) *
-                                packedSize_,
-                        rec, packedSize_);
+            std::memcpy(levelRecs_->at(id - levelBase_), rec, packedSize_);
         parents_[id] = {w.succs[i].parent, w.succs[i].letter};
         designStates_[id] = readI32(rec);
     }
@@ -903,7 +894,10 @@ ExploreResult Explorer::run()
     store_->intern(root.data());
     designStates_.push_back(flat_.initialState);
     parents_.push_back({std::numeric_limits<std::uint32_t>::max(), 0});
-    if (!exact_) levelRecs_ = root;
+    if (!exact_) {
+        levelRecs_.emplace(packedSize_);
+        std::memcpy(levelRecs_->push(), root.data(), packedSize_);
+    }
     levelBase_ = 0;
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -926,6 +920,18 @@ ExploreResult Explorer::run()
         out.stats.seconds > 0
             ? static_cast<double>(out.stats.states) / out.stats.seconds
             : 0;
+
+    // Only run() reads the rest: free it and keep the store. Assigning a
+    // fresh value frees the capacity that clear() would keep.
+    auto release = [](auto& x) { x = std::remove_reference_t<decltype(x)>(); };
+    release(workers_);
+    release(ranges_);
+    release(firstSeen_);
+    levelRecs_.reset();
+    release(parents_);
+    release(designStates_);
+    release(alphabet_);
+    release(domains_);
     return out;
 }
 
@@ -1017,10 +1023,7 @@ ExploreResult Explorer::runBfs()
         // Expansion is over, so a bitstate level buffer takes the next
         // level in place of this one.
         levelBase_ = levelBegin;
-        if (!exact_)
-            levelRecs_.assign(static_cast<std::size_t>(levelEnd - levelBegin) *
-                                  packedSize_,
-                              0);
+        if (!exact_) levelRecs_->resize(levelEnd - levelBegin);
         epoch(Phase::Place);
 
         out.stats.peakFrontier =

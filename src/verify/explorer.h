@@ -78,13 +78,23 @@
 //     enters its shard's new records into its index shard.
 // State numbering, state count, and the reported counterexample are
 // therefore identical for any thread count, and BFS parent links give
-// shortest traces. The next level's frontier is read back from the
-// exact store's arena segments, which never move (a bitstate store keeps
-// no records: its committed records go to a level buffer instead). The
-// store is never written while workers read it: expand and dedupe only
-// read, and place writes disjoint ids and owner-exclusive shards.
-// ExploreStats::expandSeconds/mergeSeconds split a run's time between
-// expansion and the three merge steps.
+// shortest traces. Records live in one container, verify::RecordArena,
+// whose segments never move: a worker writes each successor straight
+// into its own arena (emptied, not freed, between levels), the merge
+// addresses it there by index, and place copies the committed ones into
+// the store's arena, which the next level's frontier is read from (a
+// bitstate store keeps no records: its committed records go to a level
+// arena instead). The store is never written while workers read it:
+// expand and dedupe only read, and place writes disjoint ids and
+// owner-exclusive shards. ExploreStats::expandSeconds/mergeSeconds split
+// a run's time between expansion and the three merge steps.
+//
+// After run() — An explorer holds its store and what describes it
+// (stateStore(), stateDigest(), packedSize(), designSema(),
+// designLayout()). run() frees everything else before it returns: the
+// workers with their VMs, reactors, successor arenas and merge buckets,
+// the dedupe tables, the bitstate level arena, the parent links, the
+// per-id control states and the input alphabet.
 //
 // Native successors — when the explorer is built with an AOT-compiled
 // module (its `native` argument, which CompiledModule::makeExplorer
@@ -319,7 +329,8 @@ public:
     void addPredicate(std::string name, Predicate fn);
 
     /// Explores the reachable state space. Single-shot: a second call
-    /// throws (build a fresh Explorer per run).
+    /// throws (build a fresh Explorer per run). Frees all but the store
+    /// before it returns.
     ExploreResult run();
 
     [[nodiscard]] const ModuleSema& designSema() const { return sema_; }
@@ -395,10 +406,11 @@ private:
     struct Worker {
         ModuleCtx design;
         std::optional<ModuleCtx> monitor;
-        std::vector<std::uint8_t> packed; ///< Succ records, packedSize each.
+        /// Record i is succs[i]'s; emptied, not freed, between levels.
+        RecordArena packed;
         std::vector<Succ> succs;
-        /// The last successor written (its record ends `packed`), store
-        /// probe still pending.
+        /// The last successor written (the last record of `packed`),
+        /// store probe still pending.
         std::optional<Succ> probing;
         /// Per succ: kSeen, kFresh (dedupe), or its committed id.
         std::vector<std::uint32_t> ids;
@@ -513,14 +525,14 @@ private:
     std::vector<std::pair<std::string, Predicate>> predicates_;
 
     // Exploration state. The frontier of an exact run is read from
-    // exact_'s segments; a bitstate run, whose store keeps no records,
-    // places each level into levelRecs_ (id i at offset
-    // (i - levelBase_) * packedSize_). designStates_ carries each id's
-    // design control state for trace reconstruction, which must not
-    // read the store either.
+    // exact_'s arena; a bitstate run, whose store keeps no records,
+    // places each level into levelRecs_ (id i at index i - levelBase_).
+    // designStates_ carries each id's design control state for trace
+    // reconstruction, which must not read the store either. Only run()
+    // reads these besides store_ and exact_, and it frees them.
     std::unique_ptr<StateStore> store_;
     ExactStore* exact_ = nullptr; ///< store_, when exact.
-    std::vector<std::uint8_t> levelRecs_;
+    std::optional<RecordArena> levelRecs_; ///< Bitstate runs only.
     std::uint32_t levelBase_ = 0;
     std::vector<std::int32_t> designStates_; ///< Per interned id.
     std::vector<ParentLink> parents_; ///< Per interned id.

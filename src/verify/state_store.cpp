@@ -3,6 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <new>
+
+#include <sys/mman.h>
+
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 #include "src/support/diagnostics.h"
 
@@ -50,6 +60,60 @@ std::uint64_t remix(std::uint64_t h)
     return h ^ (h >> 31);
 }
 } // namespace
+
+// ---------------------------------------------------------------------------
+// RecordArena
+// ---------------------------------------------------------------------------
+
+RecordArena::RecordArena(std::size_t recordBytes) : recordBytes_(recordBytes)
+{
+    // Largest power-of-two record count fitting one segment (at least
+    // one record): index -> (segment, slot) is a shift and a mask.
+    const std::size_t fit =
+        std::max<std::size_t>(kSegmentBytes / recordBytes_, 1);
+    shift_ = static_cast<unsigned>(std::bit_width(fit) - 1);
+}
+
+RecordArena::~RecordArena()
+{
+    for (std::uint8_t* seg : segments_) {
+        // The next mapping at this address must not start poisoned.
+        ASAN_UNPOISON_MEMORY_REGION(seg, segmentBytes());
+        ::munmap(seg, segmentBytes());
+    }
+}
+
+std::uint8_t* RecordArena::push()
+{
+    if (size_ >> shift_ >= segments_.size()) {
+        // Anonymous pages are untouched until written, and munmap hands
+        // them back to the OS (heap blocks freed by another thread can
+        // stay resident).
+        segments_.push_back(nullptr); // the one step that can throw first
+        void* seg = ::mmap(nullptr, segmentBytes(), PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (seg == MAP_FAILED) {
+            segments_.pop_back();
+            throw std::bad_alloc();
+        }
+        ASAN_POISON_MEMORY_REGION(seg, segmentBytes());
+        segments_.back() = static_cast<std::uint8_t*>(seg);
+    }
+    std::uint8_t* rec = at(size_++);
+    ASAN_UNPOISON_MEMORY_REGION(rec, recordBytes_);
+    return rec;
+}
+
+void RecordArena::pop()
+{
+    ASAN_POISON_MEMORY_REGION(at(--size_), recordBytes_);
+}
+
+void RecordArena::resize(std::uint32_t n)
+{
+    while (size_ > n) pop();
+    while (size_ < n) push();
+}
 
 // ---------------------------------------------------------------------------
 // HashIndex
@@ -160,15 +224,10 @@ std::unique_ptr<StateStore> StateStore::make(StoreKind kind,
 // ---------------------------------------------------------------------------
 
 ExactStore::ExactStore(std::size_t packedSize)
-    : StateStore(packedSize),
+    : StateStore(packedSize), records_(packedSize_),
       indexBytes_(kShards * HashIndex::slotsFor(0) * sizeof(std::uint64_t)),
       scratch_(packedSize_, 0)
 {
-    // Largest power-of-two record count fitting one segment (at least
-    // one record): id -> (segment, slot) is a shift and a mask.
-    const std::size_t fit =
-        std::max<std::size_t>(kSegmentBytes / packedSize_, 1);
-    segmentShift_ = static_cast<unsigned>(std::bit_width(fit) - 1);
 }
 
 const std::uint8_t* ExactStore::at(std::uint32_t id) const
@@ -176,17 +235,17 @@ const std::uint8_t* ExactStore::at(std::uint32_t id) const
     if (id >= count_)
         throw EclError("StateStore::at: id out of range");
 #ifndef NDEBUG
-    std::memcpy(scratch_.data(), recordPtr(id), packedSize_);
+    std::memcpy(scratch_.data(), records_.at(id), packedSize_);
     return scratch_.data();
 #else
-    return recordPtr(id);
+    return records_.at(id);
 #endif
 }
 
 bool ExactStore::contains(const std::uint8_t* bytes, std::uint64_t hash) const
 {
     return shards_[shardOf(hash)].index.contains(hash, [&](std::uint32_t id) {
-        return std::memcmp(recordPtr(id), bytes, packedSize_) == 0;
+        return std::memcmp(records_.at(id), bytes, packedSize_) == 0;
     });
 }
 
@@ -197,10 +256,7 @@ std::uint32_t ExactStore::commit(std::uint64_t hash)
                     HashIndex::slotsFor(sh.entries)) *
                    sizeof(std::uint64_t);
     ++sh.entries;
-    if (count_ >> segmentShift_ >= segments_.size())
-        // Not zero-filled: pages stay untouched until written.
-        segments_.push_back(std::make_unique_for_overwrite<std::uint8_t[]>(
-            packedSize_ << segmentShift_));
+    records_.push(); // written by place()
     noteNewRecord(hash);
 #ifndef NDEBUG
     // A caller that held an at() pointer across this intern now reads
@@ -215,7 +271,7 @@ std::pair<std::uint32_t, bool> ExactStore::insert(const std::uint8_t* bytes,
 {
     auto res = shards_[shardOf(hash)].index.findOrInsert(
         hash, count_, [&](std::uint32_t id) {
-            return std::memcmp(recordPtr(id), bytes, packedSize_) == 0;
+            return std::memcmp(records_.at(id), bytes, packedSize_) == 0;
         });
     if (res.second) write(commit(hash), bytes);
     return res;
@@ -223,7 +279,7 @@ std::pair<std::uint32_t, bool> ExactStore::insert(const std::uint8_t* bytes,
 
 void ExactStore::write(std::uint32_t id, const std::uint8_t* bytes)
 {
-    std::memcpy(recordPtr(id), bytes, packedSize_);
+    std::memcpy(records_.at(id), bytes, packedSize_);
 }
 
 std::uint64_t ExactStore::memoryBytes() const

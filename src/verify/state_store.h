@@ -20,10 +20,9 @@
 // Two implementations live behind the StateStore interface
 // (selected by StoreKind / ExplorerOptions::storeKind):
 //
-//  * ExactStore — the lossless store: records in fixed-size arena
-//    segments (no per-state allocation; growth never moves a record)
-//    and kShards HashIndex shards over them, picked by the hash's top
-//    bits.
+//  * ExactStore — the lossless store: records in a RecordArena (no
+//    per-state allocation; growth never moves a record) and kShards
+//    HashIndex shards over them, picked by the hash's top bits.
 //  * BitstateStore — supertrace-style lossy membership: a bit table
 //    sized from a byte budget, k independent probe bits per record
 //    hash. A hash collision silently merges two distinct states, so a
@@ -40,6 +39,10 @@
 // accounts memoryBytes(); place() and ExactStore::insertIndex() then
 // write the committed records and index entries, concurrently for
 // distinct ids and distinct shards.
+//
+// One record container: RecordArena holds the exact store's records, and
+// the explorer uses the same class for each worker's successor buffer and
+// for the bitstate level buffer.
 //
 // Pointer-stability contract: a pointer returned by at() is valid only
 // until the next intern(), commit() or at() call on the same store. In
@@ -65,6 +68,67 @@ namespace ecl::verify {
 enum class StoreKind {
     Exact,    ///< Hash-interned arena (default; canonical behavior).
     Bitstate, ///< Lossy supertrace bit table (coverage sweeps).
+};
+
+/// Fixed-size records in segments that never move: record i lives in
+/// segment i / recordsPerSegment() at slot i % recordsPerSegment(). A
+/// segment is one anonymous mapping holding the largest power-of-two
+/// number of records that fits 1 MiB (at least one), so growth maps one
+/// more segment and copies nothing, a record is never zero-filled, and
+/// a freed segment's pages go back to the OS. clear() keeps the
+/// segments for the next fill. Under ASan a segment is poisoned when
+/// mapped and each record unpoisoned as it is handed out, so a read
+/// past the records written is reported.
+///
+/// Threading: push(), pop(), resize() and clear() are one writer's;
+/// at() may run on any number of threads while none of those does, and
+/// distinct records may be written concurrently.
+class RecordArena {
+public:
+    /// Records of `recordBytes` (> 0) bytes each.
+    explicit RecordArena(std::size_t recordBytes);
+    ~RecordArena();
+    RecordArena(const RecordArena&) = delete;
+    RecordArena& operator=(const RecordArena&) = delete;
+
+    /// Appends one record with unspecified bytes and returns them.
+    std::uint8_t* push();
+
+    /// Drops the last record.
+    void pop();
+
+    /// Record `i` (< size()); no bounds check.
+    [[nodiscard]] std::uint8_t* at(std::uint32_t i) const
+    {
+        return segments_[i >> shift_] +
+               static_cast<std::size_t>(i & (recordsPerSegment() - 1)) *
+                   recordBytes_;
+    }
+
+    [[nodiscard]] std::uint32_t size() const { return size_; }
+
+    /// Sets size() to `n`; records that come into range have unspecified
+    /// bytes.
+    void resize(std::uint32_t n);
+
+    /// size() = 0, keeping every segment mapped.
+    void clear() { resize(0); }
+
+    [[nodiscard]] std::uint32_t recordsPerSegment() const
+    {
+        return std::uint32_t{1} << shift_;
+    }
+
+private:
+    [[nodiscard]] std::size_t segmentBytes() const
+    {
+        return recordBytes_ << shift_;
+    }
+
+    std::vector<std::uint8_t*> segments_;
+    std::size_t recordBytes_;
+    unsigned shift_ = 0;
+    std::uint32_t size_ = 0;
 };
 
 /// CLI/JSON name of a store kind ("exact", "bitstate").
@@ -341,7 +405,7 @@ public:
     /// threads. No bounds check.
     [[nodiscard]] const std::uint8_t* record(std::uint32_t id) const
     {
-        return recordPtr(id);
+        return records_.at(id);
     }
     [[nodiscard]] std::uint64_t memoryBytes() const override;
     [[nodiscard]] StoreKind kind() const override { return StoreKind::Exact; }
@@ -349,7 +413,7 @@ public:
     /// Records per arena segment (a power of two, ~1 MiB of records).
     [[nodiscard]] std::uint32_t recordsPerSegment() const
     {
-        return std::uint32_t{1} << segmentShift_;
+        return records_.recordsPerSegment();
     }
 
 private:
@@ -364,16 +428,7 @@ private:
                                           std::uint64_t hash) override;
     void write(std::uint32_t id, const std::uint8_t* bytes) override;
 
-    /// Raw arena pointer (internal: bypasses the debug scratch copy).
-    [[nodiscard]] std::uint8_t* recordPtr(std::uint32_t id) const
-    {
-        return segments_[id >> segmentShift_].get() +
-               static_cast<std::size_t>(id & (recordsPerSegment() - 1)) *
-                   packedSize_;
-    }
-
-    std::vector<std::unique_ptr<std::uint8_t[]>> segments_;
-    unsigned segmentShift_ = 0;
+    RecordArena records_; ///< Record id at index id.
     std::array<Shard, kShards> shards_;
     /// Sum of HashIndex::slotsFor(entries) over the shards, in bytes.
     std::uint64_t indexBytes_ = 0;

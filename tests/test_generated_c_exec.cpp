@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -447,11 +448,108 @@ TEST(NativeDifferential, FuelIsPerReaction)
 }
 
 // ---------------------------------------------------------------------------
-// C-helper call frames: every backend builds them its own way (Evaluator
-// frames, VM per-depth frames, generated C stack frames), so one module
-// that exercises each frame rule is run on all of them.
+// Scripted differentials: a module written for one rule runs the same
+// input scripts on every backend. The tree walk at -O2 is the oracle, and
+// flat and the tree walk at -O0 and -O2, then native at both levels, must
+// match it: outputs, trap and packed state.
 // ---------------------------------------------------------------------------
 
+/// One instant's inputs after boot: a name with a value sets an int
+/// input, a name without one a pure input.
+using Instant =
+    std::vector<std::pair<const char*, std::optional<std::int64_t>>>;
+using Script = std::vector<Instant>;
+
+/// One scripted run: each instant's outputs, then the trap text if one
+/// fires (the run stops there), and the final packed state.
+struct ScriptRun {
+    std::string outputs;
+    std::string trap;
+    std::vector<std::uint8_t> packed;
+};
+
+/// Boots `eng` and reacts once per instant of `script`, printing each of
+/// `outputs` that is present, with its value when it has one.
+ScriptRun runScript(rt::ReactiveEngine& eng,
+                    const std::vector<const char*>& outputs,
+                    const Script& script)
+{
+    ScriptRun run;
+    auto react = [&] {
+        eng.react();
+        for (const char* out : outputs) {
+            if (!eng.outputPresent(out)) continue;
+            run.outputs += out;
+            if (!eng.moduleSema().findSignal(out)->pure)
+                run.outputs +=
+                    "=" + std::to_string(eng.outputValue(out).toInt());
+            run.outputs += " ";
+        }
+        run.outputs += "|";
+    };
+    try {
+        react(); // boot
+        for (const Instant& in : script) {
+            for (const auto& [name, value] : in) {
+                if (value) eng.setInputScalar(name, *value);
+                else eng.setInput(name);
+            }
+            react();
+        }
+    } catch (const EclError& e) {
+        run.trap = e.what();
+    }
+    run.packed = eng.packState();
+    return run;
+}
+
+/// Runs every script of `module` on each backend at -O0 and -O2 and
+/// expects the oracle's run, then returns the oracle's runs. Native rows
+/// run only when a host C compiler exists.
+std::vector<ScriptRun>
+expectBackendsMatchTreeWalk(const char* source, const char* module,
+                            const std::vector<const char*>& outputs,
+                            const std::vector<Script>& scripts)
+{
+    Compiler compiler(source);
+    std::shared_ptr<CompiledModule> mods[2];
+    for (int i = 0; i < 2; ++i) {
+        CompileOptions opts;
+        opts.optLevel = i == 0 ? 0 : 2;
+        mods[i] = compiler.compile(module, opts);
+    }
+    std::vector<ScriptRun> oracle;
+    for (const Script& script : scripts) {
+        auto tree = mods[1]->makeEngine(EngineKind::TreeWalk);
+        EXPECT_STREQ(tree->backendName(), "tree");
+        oracle.push_back(runScript(*tree, outputs, script));
+    }
+    const std::pair<EngineKind, const char*> backends[] = {
+        {EngineKind::Flat, "flat"},
+        {EngineKind::TreeWalk, "tree"},
+        {EngineKind::Native, "native"}};
+    for (const auto& [kind, name] : backends) {
+        if (kind == EngineKind::Native && !nativeAvailable()) continue;
+        for (std::size_t k = 0; k < scripts.size(); ++k) {
+            for (int i = 0; i < 2; ++i) {
+                const std::string what = std::string(name) +
+                                         (i == 0 ? " -O0" : " -O2") +
+                                         ", script " + std::to_string(k);
+                auto eng = mods[i]->makeEngine(kind);
+                EXPECT_STREQ(eng->backendName(), name) << what;
+                const ScriptRun run = runScript(*eng, outputs, scripts[k]);
+                EXPECT_EQ(run.outputs, oracle[k].outputs) << what;
+                EXPECT_EQ(run.trap, oracle[k].trap) << what;
+                EXPECT_EQ(run.packed, oracle[k].packed) << what;
+            }
+        }
+    }
+    return oracle;
+}
+
+// C-helper call frames: every backend builds them its own way (Evaluator
+// frames, VM per-depth frames, generated C stack frames), so one module
+// exercises each frame rule.
 const char* const kHelperCallSource = R"(
 typedef struct { int v[2]; } box_t;
 
@@ -506,75 +604,19 @@ module calls (input int n, input pure deep, input pure fall,
 }
 )";
 
-/// One scripted run: each instant's outputs, then the trap text if one
-/// fires (the run stops there), and the final packed state.
-struct HelperRun {
-    std::string outputs;
-    std::string trap;
-    std::vector<std::uint8_t> packed;
-};
-
-enum class HelperScript { Values, DeepTrap, FallTrap };
-
-HelperRun runHelperScript(rt::ReactiveEngine& eng, HelperScript script)
-{
-    HelperRun run;
-    auto instant = [&](auto&& stage) {
-        stage();
-        eng.react();
-        for (const char* out : {"sum", "keep", "fibo", "total"})
-            if (eng.outputPresent(out))
-                run.outputs += std::string(out) + "=" +
-                               std::to_string(eng.outputValue(out).toInt()) +
-                               " ";
-        run.outputs += "|";
-    };
-    try {
-        instant([] {}); // boot
-        switch (script) {
-        case HelperScript::Values:
-            for (std::int64_t n : {5, 12, -7, 40, 100, 19})
-                instant([&] { eng.setInputScalar("n", n); });
-            break;
-        case HelperScript::DeepTrap:
-            instant([&] { eng.setInputScalar("n", 5); });
-            instant([&] { eng.setInput("deep"); });
-            break;
-        case HelperScript::FallTrap:
-            instant([&] {
-                eng.setInputScalar("n", 2);
-                eng.setInput("fall");
-            });
-            break;
-        }
-    } catch (const EclError& e) {
-        run.trap = e.what();
-    }
-    run.packed = eng.packState();
-    return run;
-}
-
 TEST(NativeDifferential, HelperCallFramesMatchAcrossBackends)
 {
-    const HelperScript scripts[] = {HelperScript::Values,
-                                    HelperScript::DeepTrap,
-                                    HelperScript::FallTrap};
-    Compiler compiler(kHelperCallSource);
-    std::shared_ptr<CompiledModule> mods[2];
-    for (int i = 0; i < 2; ++i) {
-        CompileOptions opts;
-        opts.optLevel = i == 0 ? 0 : 2;
-        mods[i] = compiler.compile("calls", opts);
-    }
-
-    // The oracle: the tree walk at -O2, pinned on the values the helpers
-    // must compute (n = 5: 5*7 + 15, the caller's b.v[0], fib(5), 5+4+..+0).
-    std::vector<HelperRun> oracle;
-    for (HelperScript s : scripts) {
-        auto tree = mods[1]->makeEngine(EngineKind::TreeWalk);
-        ASSERT_STREQ(tree->backendName(), "tree");
-        oracle.push_back(runHelperScript(*tree, s));
-    }
+    const std::vector<Script> scripts = {
+        {{{"n", 5}}, {{"n", 12}}, {{"n", -7}}, {{"n", 40}}, {{"n", 100}},
+         {{"n", 19}}},
+        {{{"n", 5}}, {{"deep", {}}}},
+        {{{"n", 2}, {"fall", {}}}},
+    };
+    const std::vector<ScriptRun> oracle = expectBackendsMatchTreeWalk(
+        kHelperCallSource, "calls", {"sum", "keep", "fibo", "total"},
+        scripts);
+    // Pinned on the values the helpers must compute (n = 5: 5*7 + 15,
+    // the caller's b.v[0], fib(5), 5+4+..+0).
     EXPECT_EQ(oracle[0].outputs.find("sum=50 keep=5 fibo=5 total=15 "), 1u)
         << oracle[0].outputs;
     EXPECT_EQ(oracle[0].trap, "");
@@ -585,33 +627,50 @@ TEST(NativeDifferential, HelperCallFramesMatchAcrossBackends)
                   "function 'nothing' fell off the end without return"),
               std::string::npos)
         << oracle[2].trap;
-
-    auto expectSame = [&](rt::ReactiveEngine& eng, std::size_t k,
-                          const std::string& what) {
-        HelperRun run = runHelperScript(eng, scripts[k]);
-        EXPECT_EQ(run.outputs, oracle[k].outputs) << what;
-        EXPECT_EQ(run.trap, oracle[k].trap) << what;
-        EXPECT_EQ(run.packed, oracle[k].packed) << what;
-    };
-    for (std::size_t k = 0; k < std::size(scripts); ++k) {
-        for (int i = 0; i < 2; ++i) {
-            const std::string level = i == 0 ? "-O0" : "-O2";
-            auto flat = mods[i]->makeEngine(EngineKind::Flat);
-            ASSERT_STREQ(flat->backendName(), "flat");
-            expectSame(*flat, k, "flat " + level);
-            auto tree = mods[i]->makeEngine(EngineKind::TreeWalk);
-            expectSame(*tree, k, "tree " + level);
-        }
-    }
-
     REQUIRE_NATIVE();
-    for (std::size_t k = 0; k < std::size(scripts); ++k) {
-        for (int i = 0; i < 2; ++i) {
-            auto native = mods[i]->makeEngine(EngineKind::Native);
-            ASSERT_STREQ(native->backendName(), "native");
-            expectSame(*native, k, i == 0 ? "native -O0" : "native -O2");
-        }
+}
+
+// A reactive do ... while, whose body awaits: `continue` goes to the
+// condition, `break` leaves the loop, and a body entered with k <= 0 runs
+// once.
+const char* const kDoWhileSource = R"(
+module pacer (input pure tick, input pure skip, input pure stop,
+              input int n, output int count, output pure done)
+{
+    int k;
+    while (1) {
+        await (n);
+        k = n;
+        do {
+            await (tick);
+            present (skip) continue;
+            k = k - 1;
+            emit_v (count, k);
+            present (stop) break;
+        } while (k > 0);
+        emit (done);
     }
+}
+)";
+
+TEST(NativeDifferential, ReactiveDoWhileMatchesAcrossBackends)
+{
+    const Instant tick = {{"tick", {}}};
+    const std::vector<Script> scripts = {
+        {{{"n", 3}}, tick, {{"tick", {}}, {"skip", {}}}, tick, tick,
+         {{"n", 2}}, tick, tick},
+        {{{"n", 5}}, tick, {{"tick", {}}, {"stop", {}}}, {{"n", 0}}, tick,
+         {{"n", 1}}, {{"tick", {}}, {"skip", {}}}, tick},
+    };
+    const std::vector<ScriptRun> oracle = expectBackendsMatchTreeWalk(
+        kDoWhileSource, "pacer", {"count", "done"}, scripts);
+    EXPECT_EQ(oracle[0].outputs,
+              "||count=2 ||count=1 |count=0 done ||count=1 |count=0 done |");
+    EXPECT_EQ(oracle[1].outputs, "||count=4 |count=3 done ||count=-1 done "
+                                 "|||count=0 done |");
+    EXPECT_EQ(oracle[0].trap, "");
+    EXPECT_EQ(oracle[1].trap, "");
+    REQUIRE_NATIVE();
 }
 
 // ---------------------------------------------------------------------------

@@ -173,6 +173,37 @@ TEST(ConstantsTest, DivisionByZeroRejected)
     expectSemaError("const int A = 1 / 0;", "division by zero");
 }
 
+TEST(ConstantsTest, ProgramLevelRejectionsThrowTheRecordedText)
+{
+    // What eclc prints (the thrown text) is the whole diagnostic, reason
+    // and name included.
+    const std::pair<const char*, const char*> cases[] = {
+        {"const int A[2] = 1;",
+         "const arrays at file scope are not supported; use #define "
+         "tables or locals"},
+        {"const int B;", "const 'B' needs an initializer"},
+        {"int f(int x) { return x; }\nint f(int y) { return y; }",
+         "redefinition of function 'f'"},
+        {"int g;",
+         "file-scope variables must be 'const' in ECL (Esterel scoping; "
+         "see paper Section 3)"},
+    };
+    for (const auto& [src, text] : cases) {
+        Diagnostics diags;
+        ast::Program program = parseEcl(src, diags);
+        ASSERT_FALSE(diags.hasErrors()) << src;
+        try {
+            analyzeProgramDecls(program, diags);
+            ADD_FAILURE() << "accepted: " << src;
+        } catch (const EclError& e) {
+            ASSERT_EQ(diags.all().size(), 1u) << src;
+            const Diagnostic& d = diags.all()[0];
+            EXPECT_EQ(d.message, text) << src;
+            EXPECT_EQ(std::string(e.what()), to_string(d.loc) + ": " + text);
+        }
+    }
+}
+
 // --- module analysis -----------------------------------------------------------
 
 TEST(ModuleSemaTest, SignalAndVarTables)

@@ -574,6 +574,51 @@ TEST(StateStore, ExactStoreSpansArenaSegmentsAndIndexGrowth)
     }
 }
 
+TEST(StateStore, RecordArenaNeverMovesARecord)
+{
+    // 181-byte records, 4,096 to a segment: a fill of three segments and
+    // one record reads back bit-exactly where it was written, and a
+    // refill after clear() lands in the same segments at the same
+    // addresses.
+    constexpr std::size_t kBytes = 181;
+    verify::RecordArena arena(kBytes);
+    const std::uint32_t perSegment = arena.recordsPerSegment();
+    EXPECT_EQ(perSegment, 4096u);
+    const std::uint32_t n = 3 * perSegment + 1;
+    std::vector<const std::uint8_t*> where;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        std::uint8_t* rec = arena.push();
+        const std::vector<std::uint8_t> want = patternRecord(i, kBytes);
+        std::memcpy(rec, want.data(), kBytes);
+        where.push_back(rec);
+    }
+    ASSERT_EQ(arena.size(), n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        ASSERT_EQ(arena.at(i), where[i]) << "record " << i;
+        const std::vector<std::uint8_t> want = patternRecord(i, kBytes);
+        ASSERT_EQ(0, std::memcmp(arena.at(i), want.data(), kBytes))
+            << "record " << i;
+    }
+    arena.pop();
+    EXPECT_EQ(arena.size(), n - 1);
+    arena.clear();
+    EXPECT_EQ(arena.size(), 0u);
+    arena.resize(n);
+    ASSERT_EQ(arena.size(), n);
+    for (std::uint32_t i = 0; i < n; i += perSegment / 2)
+        EXPECT_EQ(arena.at(i), where[i]) << "record " << i;
+
+    // A record past 1 MiB gets a segment of its own.
+    constexpr std::size_t kBig = std::size_t{3} << 20;
+    verify::RecordArena big(kBig);
+    EXPECT_EQ(big.recordsPerSegment(), 1u);
+    std::uint8_t* first = big.push();
+    first[kBig - 1] = 7;
+    big.push()[0] = 9;
+    EXPECT_EQ(first[kBig - 1], 7);
+    EXPECT_EQ(big.at(1)[0], 9);
+}
+
 TEST(StateStore, HashBytesSeparatesNearbyRecords)
 {
     using verify::StateStore;
@@ -1528,6 +1573,53 @@ TEST(VerifyCutDeterminism, ViolationInTheLastWorkersChunk)
         EXPECT_TRUE(rp.reproduced) << rp.detail;
         if (threads == 1) first = std::move(run);
         else expectSameCut(first, run);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Record segments: the stack toplevel at depth 14 with in_byte drawn from
+// {17, 200} (40,578 states; the last level holds 20,352). At every thread
+// count from 1 to 4, each worker's successor buffer holds 7,051 or more
+// records of the last level, past the 4,096 of one segment, and the bitstate
+// level buffer spans five segments.
+// ---------------------------------------------------------------------------
+
+TEST(VerifyArenaDeterminism, LevelsSpanRecordSegments)
+{
+    auto mod = compilePaper("stack", "toplevel");
+    for (verify::StoreKind kind :
+         {verify::StoreKind::Exact, verify::StoreKind::Bitstate}) {
+        for (int threads : {1, 2, 3, 4}) {
+            SCOPED_TRACE(std::string(verify::storeKindName(kind)) + ", " +
+                         std::to_string(threads) + " threads");
+            verify::ExplorerOptions opts;
+            opts.threads = threads;
+            opts.maxDepth = 14;
+            opts.storeKind = kind;
+            opts.scalarDomains["in_byte"] = {17, 200};
+            auto ex = mod->makeExplorer(opts);
+            const verify::ExploreResult res = ex->run();
+            EXPECT_FALSE(res.violated);
+            // Pinned: what interning each successor in turn gives.
+            EXPECT_EQ(res.stats.states, 40578u);
+            EXPECT_EQ(res.stats.transitions, 121353u);
+            EXPECT_EQ(res.stats.peakFrontier, 20352u);
+            EXPECT_EQ(ex->stateDigest(), 0xab4625068e740e78ull);
+            // The last level's new states alone outnumber the records of
+            // one segment per worker.
+            EXPECT_GT(res.stats.peakFrontier,
+                      static_cast<std::uint64_t>(threads) *
+                          verify::RecordArena(ex->packedSize())
+                              .recordsPerSegment());
+            if (kind != verify::StoreKind::Exact) continue;
+            // What run() leaves, the store, re-interns into a fresh one.
+            const verify::StateStore& store = ex->stateStore();
+            verify::ExactStore fresh(store.packedSize());
+            for (std::uint32_t id = 0; id < store.size(); ++id)
+                fresh.intern(store.at(id));
+            EXPECT_EQ(fresh.size(), store.size());
+            EXPECT_EQ(fresh.digest(), store.digest());
+        }
     }
 }
 
