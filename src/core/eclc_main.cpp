@@ -613,7 +613,7 @@ int main(int argc, char** argv)
                 return usage();
         } else if (arg == "--threads" && i + 1 < argc) {
             if (!parseFlagValue(argv[++i], opt.threads, 1,
-                                ecl::verify::kMaxThreads))
+                                ecl::rt::kMaxThreads))
                 return usage();
         } else if (arg == "--store" && i + 1 < argc) {
             opt.store = argv[++i];

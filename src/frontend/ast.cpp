@@ -1,7 +1,5 @@
 #include "src/frontend/ast.h"
 
-#include <algorithm>
-
 #include "src/support/diagnostics.h"
 
 namespace ecl::ast {
@@ -53,14 +51,6 @@ SigExprPtr cloneSigExpr(const SigExpr& e)
     if (e.lhs) out->lhs = cloneSigExpr(*e.lhs);
     if (e.rhs) out->rhs = cloneSigExpr(*e.rhs);
     return out;
-}
-
-void collectSigRefs(const SigExpr& e, std::vector<std::string>& out)
-{
-    if (e.kind == SigExprKind::Ref &&
-        std::find(out.begin(), out.end(), e.name) == out.end())
-        out.push_back(e.name);
-    forEachChild(e, {.sig = [&](const SigExpr& c) { collectSigRefs(c, out); }});
 }
 
 const ModuleDecl* Program::findModule(std::string_view name) const

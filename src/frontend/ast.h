@@ -204,9 +204,6 @@ SigExprPtr makeSigOr(SigExprPtr a, SigExprPtr b, SourceLoc loc);
 /// Deep copy (used when modules are inlined).
 SigExprPtr cloneSigExpr(const SigExpr& e);
 
-/// Collects the distinct signal names referenced by `e` into `out`.
-void collectSigRefs(const SigExpr& e, std::vector<std::string>& out);
-
 // ---------------------------------------------------------------------------
 // Type specifiers and declarators (pre-semantic)
 // ---------------------------------------------------------------------------

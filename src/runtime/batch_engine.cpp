@@ -28,6 +28,8 @@ constexpr std::size_t kPrefetchBytes = 8 * 64;
 // A record holds the VM's ExecCounters as plain bytes.
 static_assert(std::is_trivially_copyable_v<ExecCounters>);
 
+std::size_t align8(std::size_t n) { return (n + 7) / 8 * 8; }
+
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -39,35 +41,30 @@ BatchEngine::BatchEngine(const efsm::FlatProgram& flat,
                          const ModuleSema& sema, const InputTable& inputs,
                          std::size_t instances, BatchOptions options,
                          std::shared_ptr<const NativeModule> native)
-    : flat_(flat), sema_(sema), inputs_(inputs)
+    : flat_(flat), sema_(sema), inputs_(inputs),
+      // Fixed per-instance arena layout (shared with the verification
+      // explorer's packed states): variables first, then valued-signal
+      // slots, each 8-byte aligned; the whole slice padded to 64 bytes.
+      layout_(computeInstanceLayout(sema_)),
+      // The record: the slice, both presence rows, then the counts, each
+      // 8-byte aligned. Only the VM fills ExecCounters, so only its
+      // records hold them.
+      presentOff_(layout_.stride),
+      lastPresentOff_(align8(presentOff_ + sema_.signals.size())),
+      countsOff_(align8(lastPresentOff_ + sema_.signals.size())),
+      recordBytes_(countsOff_ + sizeof(Counts) +
+                   (native ? 0 : sizeof(ExecCounters))),
+      records_(recordBytes_)
 {
-    // Fixed per-instance arena layout (shared with the verification
-    // explorer's packed states): variables first, then valued-signal
-    // slots, each 8-byte aligned; the whole slice padded to 64 bytes.
-    layout_ = computeInstanceLayout(sema_);
-
+    // The pool first: it refuses a thread count past kMaxThreads before
+    // any reactor is built.
     const int t = std::max(1, options.threads);
+    pool_ = std::make_unique<WorkerPool>(t, [this](int w) { runShard(w); });
     shards_.reserve(static_cast<std::size_t>(t));
     for (int w = 0; w < t; ++w)
         shards_.push_back(std::make_unique<Shard>(
             Reactor(sema_, flat_, layout_, code, native)));
     ranges_.resize(static_cast<std::size_t>(t));
-
-    // The record: the slice, both presence rows, then the counts, each
-    // 8-byte aligned. Only the VM fills ExecCounters, so only its records
-    // hold them.
-    const std::size_t S = sema_.signals.size();
-    auto align8 = [](std::size_t n) { return (n + 7) / 8 * 8; };
-    presentOff_ = layout_.stride;
-    lastPresentOff_ = align8(presentOff_ + S);
-    countsOff_ = align8(lastPresentOff_ + S);
-    recordBytes_ = countsOff_ + sizeof(Counts) +
-                   (shards_.front()->reactor.dataCounters()
-                        ? sizeof(ExecCounters)
-                        : 0);
-    while (pageShift_ > 0 && (recordBytes_ << pageShift_) > kPageBytes)
-        --pageShift_;
-    pool_ = std::make_unique<WorkerPool>(t, [this](int w) { runShard(w); });
 
     for (std::size_t i = 0; i < instances; ++i) addInstance();
 }
@@ -75,12 +72,7 @@ BatchEngine::BatchEngine(const efsm::FlatProgram& flat,
 std::size_t BatchEngine::addInstance()
 {
     const std::size_t id = state_.size();
-    // Records are zeroed one at a time as instances arrive, so a page
-    // costs only the records in use.
-    if ((id & pageMask()) == 0)
-        pages_.push_back(std::make_unique_for_overwrite<std::uint8_t[]>(
-            recordBytes_ << pageShift_));
-    std::memset(record(id), 0, recordBytes_);
+    std::memset(records_.push(), 0, recordBytes_);
     state_.push_back(flat_.initialState);
     instantOpen_.push_back(0);
     reacted_.push_back(0);
@@ -107,7 +99,7 @@ void BatchEngine::parkInstance(std::size_t inst)
 void BatchEngine::resetInstance(std::size_t inst)
 {
     checkInstance(inst);
-    clearInstance(inst, record(inst));
+    clearInstance(inst, records_.at(inst));
     state_[inst] = flat_.initialState;
     markDirty(inst); // boot reaction pending, exactly like addInstance
 }
@@ -127,7 +119,7 @@ void BatchEngine::restoreInstanceState(std::size_t inst,
         throw EclError("restoreInstanceState: control state " +
                        std::to_string(st) + " out of range (machine has " +
                        std::to_string(flat_.states.size()) + " states)");
-    std::uint8_t* rec = record(inst);
+    std::uint8_t* rec = records_.at(inst);
     clearInstance(inst, rec);
     state_[inst] = st;
     std::memcpy(rec, data + 4, layout_.dataBytes);
@@ -184,7 +176,7 @@ void BatchEngine::setInput(std::size_t inst, int sigIndex)
 {
     if (inst >= state_.size() || !inputs_[sigIndex].input) [[unlikely]]
         checkInput(inst, sigIndex);
-    std::uint8_t* rec = record(inst);
+    std::uint8_t* rec = records_.at(inst);
     openInstant(inst, rec);
     rec[presentOff_ + static_cast<std::size_t>(sigIndex)] = 1;
     markDirty(inst);
@@ -198,7 +190,7 @@ void BatchEngine::setInputScalar(std::size_t inst, int sigIndex,
         checkInstance(inst);
         checkedScalarInput(sema_, sigIndex);
     }
-    std::uint8_t* rec = record(inst);
+    std::uint8_t* rec = records_.at(inst);
     openInstant(inst, rec);
     const auto sig = static_cast<std::size_t>(sigIndex);
     storeScalar(rec + layout_.sigOffsets[sig], slot, v);
@@ -210,7 +202,7 @@ void BatchEngine::setInputValue(std::size_t inst, int sigIndex,
                                 const Value& v)
 {
     const SignalInfo& info = checkInput(inst, sigIndex);
-    std::uint8_t* rec = record(inst);
+    std::uint8_t* rec = records_.at(inst);
     // The write validates the value; a rejected one leaves no instant open.
     writeSignalValue(rec, layout_, info, v);
     openInstant(inst, rec);
@@ -221,7 +213,7 @@ void BatchEngine::setInputValue(std::size_t inst, int sigIndex,
 void BatchEngine::reactOne(Shard& shard, std::size_t inst)
 {
     const std::size_t S = sema_.signals.size();
-    std::uint8_t* rec = record(inst);
+    std::uint8_t* rec = records_.at(inst);
     std::uint8_t* present = rec + presentOff_;
 
     if (!instantOpen_[inst] && S != 0) std::memset(present, 0, S);
@@ -253,7 +245,7 @@ void BatchEngine::runShard(int w)
     // are independent, so the rest still react.
     for (std::size_t i = begin; i < end; ++i) {
         if (i + kPrefetchAhead < end) {
-            const std::uint8_t* ahead = record(work_[i + kPrefetchAhead]);
+            const std::uint8_t* ahead = records_.at(work_[i + kPrefetchAhead]);
             const std::size_t bytes = std::min(recordBytes_, kPrefetchBytes);
             for (std::size_t b = 0; b < bytes; b += 64)
                 __builtin_prefetch(ahead + b, 1);
@@ -382,7 +374,7 @@ ReactionResult BatchEngine::lastResult(std::size_t inst) const
     if (!(reacted_[inst] & kReacted))
         throw EclError("batch instance " + std::to_string(inst) +
                        " did not react in the last step");
-    const std::uint8_t* rec = record(inst);
+    const std::uint8_t* rec = records_.at(inst);
     ReactionResult r;
     Counts counts{};
     std::memcpy(&counts, rec + countsOff_, sizeof counts);
@@ -408,20 +400,20 @@ std::vector<std::uint8_t>
 BatchEngine::packInstanceState(std::size_t inst) const
 {
     checkInstance(inst);
-    return packRecord(state_[inst], record(inst), layout_.dataBytes);
+    return packRecord(state_[inst], records_.at(inst), layout_.dataBytes);
 }
 
 bool BatchEngine::outputPresent(std::size_t inst, int sigIndex) const
 {
     checkSignal(inst, sigIndex);
-    return record(inst)[lastPresentOff_ +
-                        static_cast<std::size_t>(sigIndex)] != 0;
+    return records_.at(inst)[lastPresentOff_ +
+                             static_cast<std::size_t>(sigIndex)] != 0;
 }
 
 Value BatchEngine::outputValue(std::size_t inst, int sigIndex) const
 {
     const SignalInfo& info = checkSignal(inst, sigIndex);
-    return readSignalValue(record(inst), layout_, info);
+    return readSignalValue(records_.at(inst), layout_, info);
 }
 
 bool BatchEngine::terminated(std::size_t inst) const

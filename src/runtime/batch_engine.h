@@ -16,9 +16,9 @@
 //    presence row, the last-reaction presence row and the last
 //    reaction's counts (tests, actions, emissions and, on the VM backend
 //    only, its ExecCounters), each at an 8-byte aligned offset fixed per
-//    engine. Records live in pages of up to 1024 records and 4 MiB (or
-//    one bigger record) that are allocated once and never move, so
-//    adding an instance copies nothing and leaves no garbage behind.
+//    engine. Records live in an rt::RecordArena, whose 1 MiB segments
+//    (or one record's own, past 1 MiB) never move, so adding an
+//    instance copies nothing and leaves no garbage behind.
 // Execution state that is scratch rather than per-instance — the
 // worker's rt::Reactor (VM register files and call frames, or the
 // native function, and the output ring) and the step's output events —
@@ -81,13 +81,15 @@
 #include "src/runtime/flat_kernel.h"
 #include "src/runtime/instance_layout.h"
 #include "src/runtime/native_module.h"
+#include "src/runtime/record_arena.h"
 #include "src/runtime/worker_pool.h"
 #include "src/sema/sema.h"
 
 namespace ecl::rt {
 
 struct BatchOptions {
-    /// Worker threads for step()/stepAll(). 1 = run on the caller.
+    /// Worker threads for step()/stepAll(). 1 = run on the caller; past
+    /// kMaxThreads the engine throws EclError.
     int threads = 1;
 };
 
@@ -231,11 +233,6 @@ private:
         explicit Shard(Reactor r) : reactor(std::move(r)) {}
     };
 
-    /// A page holds 2^pageShift_ records, at most 2^kMaxPageShift and as
-    /// many as fit in kPageBytes (at least one): instance `inst` is slot
-    /// inst & pageMask() of page inst >> pageShift_.
-    static constexpr std::size_t kMaxPageShift = 10;
-    static constexpr std::size_t kPageBytes = std::size_t{4} << 20;
     /// The last reaction's counts as a record stores them (memcpy only).
     struct Counts {
         std::uint64_t treeTests = 0;
@@ -250,22 +247,6 @@ private:
     void checkInstance(std::size_t inst) const;
     const SignalInfo& checkSignal(std::size_t inst, int sigIndex) const;
     const SignalInfo& checkInput(std::size_t inst, int sigIndex) const;
-    /// Instance `inst`'s record; its slice starts the record, its rows
-    /// sit at presentOff_, lastPresentOff_ and countsOff_.
-    std::size_t pageMask() const
-    {
-        return (std::size_t{1} << pageShift_) - 1;
-    }
-    std::uint8_t* record(std::size_t inst)
-    {
-        return pages_[inst >> pageShift_].get() +
-               (inst & pageMask()) * recordBytes_;
-    }
-    const std::uint8_t* record(std::size_t inst) const
-    {
-        return pages_[inst >> pageShift_].get() +
-               (inst & pageMask()) * recordBytes_;
-    }
     /// Back to the state of a new record: zeroed slice and rows, and no
     /// reaction to report.
     void clearInstance(std::size_t inst, std::uint8_t* rec);
@@ -294,9 +275,10 @@ private:
     std::size_t lastPresentOff_ = 0;
     std::size_t countsOff_ = 0;
     std::size_t recordBytes_ = 0;
-    std::size_t pageShift_ = kMaxPageShift;
-    /// Records, 2^pageShift_ per page; a page never moves.
-    std::vector<std::unique_ptr<std::uint8_t[]>> pages_;
+    /// Instance `inst`'s record at index inst: its slice starts the
+    /// record, its rows sit at presentOff_, lastPresentOff_ and
+    /// countsOff_.
+    RecordArena records_;
 
     // Scheduling rows, one entry per instance.
     std::vector<std::int32_t> state_;        ///< Current EFSM state id.

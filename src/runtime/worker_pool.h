@@ -1,6 +1,6 @@
 // Persistent spin-then-park worker pool, shared by the batch runtime
-// (src/runtime/batch_engine.cpp) and the verification explorer
-// (src/verify/explorer.cpp).
+// (src/runtime/batch_engine.cpp), the serving fleet (src/serve/fleet.cpp)
+// and the verification explorer (src/verify/explorer.cpp).
 //
 // `threads - 1` helper threads each watch their own cache-line-padded
 // atomic epoch slot; run() bumps the slots of the helpers it wants this
@@ -18,26 +18,40 @@
 // Callers pre-stage each worker's input (e.g. a contiguous range) in
 // their own state before run() and harvest results after; the callback
 // must not throw (capture failures into an exception_ptr and rethrow
-// after run(), as both users do).
+// after run(), as all users do).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/support/diagnostics.h"
+
 namespace ecl::rt {
+
+/// Worker-thread cap of every pool, and so of its users' thread counts
+/// (BatchOptions::threads, FleetOptions::threads, ExplorerOptions::threads):
+/// every worker owns a reactor and per-step buffers, and all but one are
+/// OS threads.
+inline constexpr int kMaxThreads = 256;
 
 class WorkerPool {
 public:
     /// Spawns `threads - 1` helpers. work(w) runs with w in
     /// [1, participants) on helpers and w == 0 on the caller inside
-    /// run().
+    /// run(). Throws EclError, before starting any helper, when
+    /// `threads` exceeds kMaxThreads.
     WorkerPool(int threads, std::function<void(int)> work)
         : work_(std::move(work))
     {
+        if (threads > kMaxThreads)
+            throw EclError("worker threads must be at most " +
+                           std::to_string(kMaxThreads) + " (got " +
+                           std::to_string(threads) + ")");
         const int helperCount = threads > 1 ? threads - 1 : 0;
         slots_ = std::make_unique<Slot[]>(
             static_cast<std::size_t>(helperCount > 0 ? helperCount : 1));

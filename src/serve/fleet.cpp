@@ -11,6 +11,10 @@ ShardedFleet::ShardedFleet(std::shared_ptr<const CompiledModule> mod,
     if (!mod_) throw EclError("ShardedFleet: null module");
     if (opts_.shards < 1) opts_.shards = 1;
     threads_ = std::clamp(opts_.threads, 1, opts_.shards);
+    // The pool first: it refuses a thread count past rt::kMaxThreads
+    // before any shard is built.
+    pool_ = std::make_unique<rt::WorkerPool>(threads_,
+                                             [this](int w) { runWorker(w); });
     fingerprint_ = compileFingerprint(*mod_);
 
     shards_.reserve(static_cast<std::size_t>(opts_.shards));
@@ -26,9 +30,6 @@ ShardedFleet::ShardedFleet(std::shared_ptr<const CompiledModule> mod,
     for (const auto& sh : shards_) totalRing += sh->ring.capacity();
     highWater_ = std::max<std::size_t>(totalRing / 2, 1);
     lowWater_ = highWater_ / 2;
-
-    pool_ = std::make_unique<rt::WorkerPool>(threads_,
-                                             [this](int w) { runWorker(w); });
 }
 
 ShardedFleet::~ShardedFleet() = default;

@@ -70,7 +70,8 @@ struct FleetOptions {
     /// Number of shards (one BatchEngine each).
     int shards = 1;
     /// Fleet worker threads; shard s is pinned to worker s % threads.
-    /// Clamped to [1, shards].
+    /// Clamped to [1, shards]; past rt::kMaxThreads the fleet throws
+    /// EclError.
     int threads = 1;
     /// Per-shard ingress ring capacity (rounded up to a power of two).
     std::size_t queueCapacity = 1u << 16;

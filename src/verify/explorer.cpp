@@ -46,18 +46,13 @@ std::int64_t StateView::var(const std::string& name) const
 
 std::int64_t StateView::signal(int idx) const
 {
-    return signalValue(idx).toInt();
-}
-
-Value StateView::signalValue(int idx) const
-{
     const SignalInfo& s = sema_->signals[static_cast<std::size_t>(idx)];
-    if (s.pure)
-        throw EclError("StateView: value read on pure signal '" + s.name +
-                       "'");
-    return Value::fromBytes(
-        s.valueType,
-        data_ + layout_->sigOffsets[static_cast<std::size_t>(idx)]);
+    if (s.pure || !s.valueType->isScalar())
+        throw EclError("StateView: signal '" + s.name +
+                       "' holds no scalar value");
+    return readScalar(
+        data_ + layout_->sigOffsets[static_cast<std::size_t>(idx)],
+        s.valueType);
 }
 
 // ---------------------------------------------------------------------------
@@ -139,10 +134,6 @@ Explorer::Explorer(const efsm::FlatProgram& flat,
         throw EclError("Explorer requires the compiled bytecode program");
     if (options_.maxStates == 0)
         throw EclError("Explorer: maxStates must be non-zero");
-    if (options_.threads > kMaxThreads)
-        throw EclError("Explorer: threads must be at most " +
-                       std::to_string(kMaxThreads) + " (got " +
-                       std::to_string(options_.threads) + ")");
 }
 
 void Explorer::attachMonitor(const efsm::FlatProgram& flat,
@@ -685,7 +676,7 @@ void Explorer::expandRange(Worker& w, std::uint32_t begin, std::uint32_t end)
 
 const std::uint8_t* Explorer::frontierRecord(std::uint32_t id) const
 {
-    return exact_ ? exact_->record(id) : levelRecs_->at(id - levelBase_);
+    return exact_ ? exact_->at(id) : levelRecs_->at(id - levelBase_);
 }
 
 // ---------------------------------------------------------------------------
@@ -960,13 +951,14 @@ void Explorer::runPhase(int t)
 ExploreResult Explorer::runBfs()
 {
     const int T = std::max(1, options_.threads);
+    // The pool first: it refuses a thread count past rt::kMaxThreads
+    // before any worker is built. Failures land in the worker's
+    // exception_ptr, rethrown after each epoch.
+    rt::WorkerPool pool(T, [this](int t) { runPhase(t); });
     workers_.clear();
     for (int i = 0; i < T; ++i)
         workers_.push_back(std::make_unique<Worker>(*this));
     ranges_.assign(static_cast<std::size_t>(T), {0, 0});
-    // Failures land in the worker's exception_ptr, rethrown after each
-    // epoch.
-    rt::WorkerPool pool(T, [this](int t) { runPhase(t); });
     auto epoch = [&](Phase phase) {
         phase_ = phase;
         pool.run();

@@ -78,7 +78,7 @@
 //     enters its shard's new records into its index shard.
 // State numbering, state count, and the reported counterexample are
 // therefore identical for any thread count, and BFS parent links give
-// shortest traces. Records live in one container, verify::RecordArena,
+// shortest traces. Records live in one container, rt::RecordArena,
 // whose segments never move: a worker writes each successor straight
 // into its own arena (emptied, not freed, between levels), the merge
 // addresses it there by index, and place copies the committed ones into
@@ -211,17 +211,13 @@ struct ExploreResult {
 /// ExploreStats::alphabetTruncated marks the run incomplete.
 inline constexpr std::size_t kMaxLettersPerState = 4096;
 
-/// Worker-thread cap (ExplorerOptions::threads): every worker owns a VM
-/// and per-level buffers, and all but one are OS threads.
-inline constexpr int kMaxThreads = 256;
-
 /// Candidate values for scalar-valued inputs without a per-signal
 /// domain: the smallest set that can drive both branches of most
 /// predicates.
 inline constexpr std::array<std::int64_t, 2> kDefaultScalarDomain = {0, 1};
 
 struct ExplorerOptions {
-    int threads = 1; ///< BFS worker threads, at most kMaxThreads.
+    int threads = 1; ///< BFS worker threads, at most rt::kMaxThreads.
     /// Maximum instants from boot (exploration depth). States beyond the
     /// bound stay unexpanded and the result is marked incomplete.
     int maxDepth = 1 << 20;
@@ -268,9 +264,9 @@ public:
     }
     [[nodiscard]] std::int64_t var(const std::string& name) const;
 
-    /// Persistent value slot of a valued signal.
+    /// Persistent value slot of a scalar-valued signal; throws EclError
+    /// on a pure or aggregate signal.
     [[nodiscard]] std::int64_t signal(int idx) const;
-    [[nodiscard]] Value signalValue(int idx) const;
 
 private:
     const ModuleSema* sema_;
@@ -407,7 +403,7 @@ private:
         ModuleCtx design;
         std::optional<ModuleCtx> monitor;
         /// Record i is succs[i]'s; emptied, not freed, between levels.
-        RecordArena packed;
+        rt::RecordArena packed;
         std::vector<Succ> succs;
         /// The last successor written (the last record of `packed`),
         /// store probe still pending.
@@ -532,7 +528,7 @@ private:
     // reads these besides store_ and exact_, and it frees them.
     std::unique_ptr<StateStore> store_;
     ExactStore* exact_ = nullptr; ///< store_, when exact.
-    std::optional<RecordArena> levelRecs_; ///< Bitstate runs only.
+    std::optional<rt::RecordArena> levelRecs_; ///< Bitstate runs only.
     std::uint32_t levelBase_ = 0;
     std::vector<std::int32_t> designStates_; ///< Per interned id.
     std::vector<ParentLink> parents_; ///< Per interned id.

@@ -3,24 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <new>
-
-#include <sys/mman.h>
-
-#if __has_include(<sanitizer/asan_interface.h>)
-#include <sanitizer/asan_interface.h>
-#else
-#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
-#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
-#endif
-
-#include "src/support/diagnostics.h"
 
 namespace ecl::verify {
 
 namespace {
 constexpr std::uint64_t kDefaultBitstateBytes = 1ull << 22; // 4 MiB
-constexpr std::size_t kSegmentBytes = 1u << 20;
+/// The largest bit table: its 2^63 bits still fit a 64-bit count.
+constexpr std::uint64_t kMaxBitstateBytes = 1ull << 60;
 
 // Odd 64-bit mixing constants (the xxHash64 primes).
 constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ull;
@@ -60,60 +49,6 @@ std::uint64_t remix(std::uint64_t h)
     return h ^ (h >> 31);
 }
 } // namespace
-
-// ---------------------------------------------------------------------------
-// RecordArena
-// ---------------------------------------------------------------------------
-
-RecordArena::RecordArena(std::size_t recordBytes) : recordBytes_(recordBytes)
-{
-    // Largest power-of-two record count fitting one segment (at least
-    // one record): index -> (segment, slot) is a shift and a mask.
-    const std::size_t fit =
-        std::max<std::size_t>(kSegmentBytes / recordBytes_, 1);
-    shift_ = static_cast<unsigned>(std::bit_width(fit) - 1);
-}
-
-RecordArena::~RecordArena()
-{
-    for (std::uint8_t* seg : segments_) {
-        // The next mapping at this address must not start poisoned.
-        ASAN_UNPOISON_MEMORY_REGION(seg, segmentBytes());
-        ::munmap(seg, segmentBytes());
-    }
-}
-
-std::uint8_t* RecordArena::push()
-{
-    if (size_ >> shift_ >= segments_.size()) {
-        // Anonymous pages are untouched until written, and munmap hands
-        // them back to the OS (heap blocks freed by another thread can
-        // stay resident).
-        segments_.push_back(nullptr); // the one step that can throw first
-        void* seg = ::mmap(nullptr, segmentBytes(), PROT_READ | PROT_WRITE,
-                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-        if (seg == MAP_FAILED) {
-            segments_.pop_back();
-            throw std::bad_alloc();
-        }
-        ASAN_POISON_MEMORY_REGION(seg, segmentBytes());
-        segments_.back() = static_cast<std::uint8_t*>(seg);
-    }
-    std::uint8_t* rec = at(size_++);
-    ASAN_UNPOISON_MEMORY_REGION(rec, recordBytes_);
-    return rec;
-}
-
-void RecordArena::pop()
-{
-    ASAN_POISON_MEMORY_REGION(at(--size_), recordBytes_);
-}
-
-void RecordArena::resize(std::uint32_t n)
-{
-    while (size_ > n) pop();
-    while (size_ < n) push();
-}
 
 // ---------------------------------------------------------------------------
 // HashIndex
@@ -203,7 +138,6 @@ void StateStore::checkHash([[maybe_unused]] const std::uint8_t* bytes,
 void StateStore::noteNewRecord(std::uint64_t hash)
 {
     digest_ = digest_ * 0x100000001b3ull ^ hash;
-    ++generation_;
 }
 
 std::unique_ptr<StateStore> StateStore::make(StoreKind kind,
@@ -225,21 +159,8 @@ std::unique_ptr<StateStore> StateStore::make(StoreKind kind,
 
 ExactStore::ExactStore(std::size_t packedSize)
     : StateStore(packedSize), records_(packedSize_),
-      indexBytes_(kShards * HashIndex::slotsFor(0) * sizeof(std::uint64_t)),
-      scratch_(packedSize_, 0)
+      indexBytes_(kShards * HashIndex::slotsFor(0) * sizeof(std::uint64_t))
 {
-}
-
-const std::uint8_t* ExactStore::at(std::uint32_t id) const
-{
-    if (id >= count_)
-        throw EclError("StateStore::at: id out of range");
-#ifndef NDEBUG
-    std::memcpy(scratch_.data(), records_.at(id), packedSize_);
-    return scratch_.data();
-#else
-    return records_.at(id);
-#endif
 }
 
 bool ExactStore::contains(const std::uint8_t* bytes, std::uint64_t hash) const
@@ -258,11 +179,6 @@ std::uint32_t ExactStore::commit(std::uint64_t hash)
     ++sh.entries;
     records_.push(); // written by place()
     noteNewRecord(hash);
-#ifndef NDEBUG
-    // A caller that held an at() pointer across this intern now reads
-    // 0xDD bytes instead of silently-stale state.
-    std::memset(scratch_.data(), 0xDD, scratch_.size());
-#endif
     return count_++;
 }
 
@@ -309,12 +225,14 @@ BitstateStore::BitstateStore(std::size_t packedSize,
     : StateStore(packedSize)
 {
     if (budgetBytes == 0) budgetBytes = kDefaultBitstateBytes;
-    if (budgetBytes < 64) budgetBytes = 64;
-    // Largest power-of-two bit count fitting the budget (mask probing).
-    std::uint64_t bits = 64;
-    while (bits * 2 <= budgetBytes * 8) bits *= 2;
-    bits_.assign(static_cast<std::size_t>(bits / 64), 0);
-    bitMask_ = bits - 1;
+    // The largest power-of-two byte count within the budget (mask
+    // probing), from 64 bytes to kMaxBitstateBytes: no product here can
+    // wrap, and a table the machine cannot back throws std::bad_alloc
+    // like any other allocation.
+    const std::uint64_t bytes = std::bit_floor(
+        std::clamp<std::uint64_t>(budgetBytes, 64, kMaxBitstateBytes));
+    bits_.assign(static_cast<std::size_t>(bytes / sizeof(std::uint64_t)), 0);
+    bitMask_ = bytes * 8 - 1;
 }
 
 void BitstateStore::prefetch(std::uint64_t hash) const

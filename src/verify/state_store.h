@@ -20,7 +20,7 @@
 // Two implementations live behind the StateStore interface
 // (selected by StoreKind / ExplorerOptions::storeKind):
 //
-//  * ExactStore — the lossless store: records in a RecordArena (no
+//  * ExactStore — the lossless store: records in an rt::RecordArena (no
 //    per-state allocation; growth never moves a record) and kShards
 //    HashIndex shards over them, picked by the hash's top bits.
 //  * BitstateStore — supertrace-style lossy membership: a bit table
@@ -40,18 +40,10 @@
 // write the committed records and index entries, concurrently for
 // distinct ids and distinct shards.
 //
-// One record container: RecordArena holds the exact store's records, and
-// the explorer uses the same class for each worker's successor buffer and
-// for the bitstate level buffer.
-//
-// Pointer-stability contract: a pointer returned by at() is valid only
-// until the next intern(), commit() or at() call on the same store. In
-// debug builds every at() materializes through one per-store scratch
-// buffer that intern() and commit() poison (0xDD) — a caller holding a
-// record pointer across an intern reads poison instead of
-// silently-stale arena bytes, and generation() gives callers a counter
-// to assert against. ExactStore::record() is the raw, stable accessor
-// that concurrent readers use instead.
+// One record rule: a stored record lives in the arena, whose segments
+// never move, so the pointer at() returns is valid for the store's
+// lifetime, and at() may run on any number of threads while nothing
+// commits.
 #pragma once
 
 #include <algorithm>
@@ -63,72 +55,14 @@
 #include <utility>
 #include <vector>
 
+#include "src/runtime/record_arena.h"
+#include "src/support/diagnostics.h"
+
 namespace ecl::verify {
 
 enum class StoreKind {
     Exact,    ///< Hash-interned arena (default; canonical behavior).
     Bitstate, ///< Lossy supertrace bit table (coverage sweeps).
-};
-
-/// Fixed-size records in segments that never move: record i lives in
-/// segment i / recordsPerSegment() at slot i % recordsPerSegment(). A
-/// segment is one anonymous mapping holding the largest power-of-two
-/// number of records that fits 1 MiB (at least one), so growth maps one
-/// more segment and copies nothing, a record is never zero-filled, and
-/// a freed segment's pages go back to the OS. clear() keeps the
-/// segments for the next fill. Under ASan a segment is poisoned when
-/// mapped and each record unpoisoned as it is handed out, so a read
-/// past the records written is reported.
-///
-/// Threading: push(), pop(), resize() and clear() are one writer's;
-/// at() may run on any number of threads while none of those does, and
-/// distinct records may be written concurrently.
-class RecordArena {
-public:
-    /// Records of `recordBytes` (> 0) bytes each.
-    explicit RecordArena(std::size_t recordBytes);
-    ~RecordArena();
-    RecordArena(const RecordArena&) = delete;
-    RecordArena& operator=(const RecordArena&) = delete;
-
-    /// Appends one record with unspecified bytes and returns them.
-    std::uint8_t* push();
-
-    /// Drops the last record.
-    void pop();
-
-    /// Record `i` (< size()); no bounds check.
-    [[nodiscard]] std::uint8_t* at(std::uint32_t i) const
-    {
-        return segments_[i >> shift_] +
-               static_cast<std::size_t>(i & (recordsPerSegment() - 1)) *
-                   recordBytes_;
-    }
-
-    [[nodiscard]] std::uint32_t size() const { return size_; }
-
-    /// Sets size() to `n`; records that come into range have unspecified
-    /// bytes.
-    void resize(std::uint32_t n);
-
-    /// size() = 0, keeping every segment mapped.
-    void clear() { resize(0); }
-
-    [[nodiscard]] std::uint32_t recordsPerSegment() const
-    {
-        return std::uint32_t{1} << shift_;
-    }
-
-private:
-    [[nodiscard]] std::size_t segmentBytes() const
-    {
-        return recordBytes_ << shift_;
-    }
-
-    std::vector<std::uint8_t*> segments_;
-    std::size_t recordBytes_;
-    unsigned shift_ = 0;
-    std::uint32_t size_ = 0;
 };
 
 /// CLI/JSON name of a store kind ("exact", "bitstate").
@@ -241,9 +175,9 @@ public:
     /// hashBytes(bytes, packedSize()) is `hash` — computed by the caller,
     /// typically off the interning thread. Returns (id, isNew); ids are
     /// dense in interning order. A lossy store returns (kNoId, false) for
-    /// a record it considers already seen. Invalidates every pointer
-    /// previously returned by at(). A hash that does not match the bytes
-    /// breaks dedup silently; debug builds check it and throw EclError.
+    /// a record it considers already seen. A hash that does not match
+    /// the bytes breaks dedup silently; debug builds check it and throw
+    /// EclError.
     std::pair<std::uint32_t, bool> intern(const std::uint8_t* bytes,
                                           std::uint64_t hash)
     {
@@ -289,11 +223,9 @@ public:
     /// memory contains() reads first toward the cache.
     virtual void prefetch(std::uint64_t hash) const = 0;
 
-    /// The interned record bytes. Valid until the next intern(),
-    /// commit() or at() call; calls with the same id between interns
-    /// return identical bytes (but not necessarily the same pointer is
-    /// guaranteed — treat the result as a read-once view). Throws
-    /// EclError when lossy() (bitstate does not retain records).
+    /// The stored record `id`, valid for the store's lifetime. Throws
+    /// EclError for an id not yet committed, and when lossy() (bitstate
+    /// does not retain records).
     [[nodiscard]] virtual const std::uint8_t* at(std::uint32_t id) const = 0;
 
     /// Bytes held live by the store (record bytes + index tables),
@@ -315,11 +247,6 @@ public:
     /// fingerprint: equal iff the same records were accepted in the same
     /// order — comparable across store kinds and thread counts).
     [[nodiscard]] std::uint64_t digest() const { return digest_; }
-
-    /// Bumped by every intern() or commit() that adds a record. Debug
-    /// aid for the at() contract: capture before a read, assert
-    /// unchanged at the last dereference.
-    [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
     /// Sentinel id returned by lossy stores for already-seen records.
     static constexpr std::uint32_t kNoId = 0xffffffffu;
@@ -362,9 +289,8 @@ protected:
     /// The store-kind write behind place().
     virtual void write(std::uint32_t id, const std::uint8_t* bytes) = 0;
 
-    /// Folds a newly-accepted record's hash into the digest and bumps
-    /// generation(). Every implementation calls this exactly once per
-    /// new id.
+    /// Folds a newly-accepted record's hash into the digest. Every
+    /// implementation calls this exactly once per new id.
     void noteNewRecord(std::uint64_t hash);
 
     std::size_t packedSize_;
@@ -375,7 +301,6 @@ private:
     void checkHash(const std::uint8_t* bytes, std::uint64_t hash) const;
 
     std::uint64_t digest_ = 0x9e3779b97f4a7c15ull;
-    std::uint64_t generation_ = 0;
 };
 
 /// The lossless hash-interned arena store.
@@ -399,12 +324,9 @@ public:
     {
         shards_[shardOf(hash)].index.prefetch(hash);
     }
-    [[nodiscard]] const std::uint8_t* at(std::uint32_t id) const override;
-    /// Raw pointer to a placed record: stable for the store's lifetime
-    /// (segments never move) and, unlike at(), safe from any number of
-    /// threads. No bounds check.
-    [[nodiscard]] const std::uint8_t* record(std::uint32_t id) const
+    [[nodiscard]] const std::uint8_t* at(std::uint32_t id) const override
     {
+        if (id >= count_) throw EclError("StateStore::at: id out of range");
         return records_.at(id);
     }
     [[nodiscard]] std::uint64_t memoryBytes() const override;
@@ -428,20 +350,17 @@ private:
                                           std::uint64_t hash) override;
     void write(std::uint32_t id, const std::uint8_t* bytes) override;
 
-    RecordArena records_; ///< Record id at index id.
+    rt::RecordArena records_; ///< Record id at index id.
     std::array<Shard, kShards> shards_;
     /// Sum of HashIndex::slotsFor(entries) over the shards, in bytes.
     std::uint64_t indexBytes_ = 0;
-    /// Debug builds: every at() result materializes here, and commit()
-    /// poisons it (see the pointer-stability contract above).
-    mutable std::vector<std::uint8_t> scratch_;
 };
 
 /// Supertrace-style lossy bit table: a few probe bits per state hash.
 class BitstateStore final : public StateStore {
 public:
-    /// Table sized to the largest power-of-two bit count fitting
-    /// `budgetBytes` (>= 64 bytes enforced; 0 = 4 MiB default).
+    /// Table sized to the largest power-of-two byte count within
+    /// `budgetBytes` (64 bytes to 2^60; 0 = 4 MiB default).
     BitstateStore(std::size_t packedSize, std::uint64_t budgetBytes);
 
     [[nodiscard]] bool contains(const std::uint8_t* bytes,

@@ -2,19 +2,22 @@
 // step() must not touch the heap — on the bytecode VM and the native
 // backend, on one worker and on four — and neither must a ShardedFleet
 // round of submits, step and event collection. And an instance costs the
-// heap what bytesPerInstance() says, give or take the scheduling rows'
-// growth. This binary replaces the global operator new with a counting
-// one, so it is its own executable and the counter affects no other
-// suite.
+// heap and the address space what bytesPerInstance() says, give or take
+// the scheduling rows' growth. This binary replaces the global operator
+// new with a counting one, so it is its own executable and the counter
+// affects no other suite.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <new>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "src/core/compiler.h"
 #include "src/core/paper_sources.h"
@@ -76,6 +79,16 @@ public:
         return gAllocs.load();
     }
 };
+
+/// The process's address space in bytes: the size field of
+/// /proc/self/statm, which is VmSize in pages.
+std::uint64_t addressSpaceBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::uint64_t pages = 0;
+    statm >> pages;
+    return pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
 
 /// One byte-stream workload: every instance is fed the same values, one
 /// per step, through the module's single valued input.
@@ -271,9 +284,10 @@ TEST(AllocFree, NativeFleetRounds)
 TEST(AllocBytes, AddingInstancesRequestsTheirBytes)
 {
     // Growing one engine to 100k instances requests at most a quarter
-    // more than bytesPerInstance() says they hold: records come in pages
-    // that are never copied, and only the scheduling rows (6 bytes and a
-    // dirty bit an instance) still grow by doubling.
+    // more than bytesPerInstance() says they hold: records come in mapped
+    // arena segments, which are never copied and use no heap, and only
+    // the scheduling rows (6 bytes and a dirty bit an instance) still
+    // grow by doubling.
     constexpr std::size_t kInstances = 100'000;
     Compiler compiler(paper::protocolStackSource());
     auto mod = compiler.compile("toplevel");
@@ -293,20 +307,24 @@ TEST(AllocBytes, AddingInstancesRequestsTheirBytes)
 
 TEST(AllocBytes, BigRecordsArePagedOneAtATime)
 {
-    // A page holds at most 4 MiB of records, or a single bigger one: a
-    // 4 MiB instance requests its own bytes, where a page of 1024 such
-    // records would request 4 GiB.
+    // Records live in mapped arena segments of 1 MiB, and a bigger record
+    // gets a segment of its own: three 4 MiB instances map their own
+    // bytes, where a segment of 1024 such records would reserve 4 GiB.
+    // The heap holds only the scheduling rows and the segment table.
     Compiler compiler("module m (input int v, output int o) {\n"
                       "  int a[1048576];\n"
                       "  while (1) { await (v); emit_v (o, a[v & 1023]); }\n"
                       "}\n");
     auto mod = compiler.compile("m");
     auto batch = mod->makeBatchEngine(0);
+    const std::uint64_t before = addressSpaceBytes();
     AllocCount count;
     for (int i = 0; i < 3; ++i) batch->addInstance();
     (void)count.stop();
-    EXPECT_LE(gBytes.load(), 3 * batch->bytesPerInstance() + 4096)
+    const std::uint64_t grown = addressSpaceBytes() - before;
+    EXPECT_LE(grown, 3 * batch->bytesPerInstance() + (1u << 20))
         << "bytesPerInstance() " << batch->bytesPerInstance();
+    EXPECT_LE(gBytes.load(), 4096u);
 }
 
 } // namespace

@@ -14,11 +14,11 @@
 // concatenated event streams across thread counts directly, and a drain
 // sweep follows every stimulus instant with empty ones, as the benches'
 // drain tail does. Modules cover the paper designs and
-// full-kernel-grammar generated programs (tests/ecl_program_gen.h).
+// full-kernel-grammar generated programs (src/corpus/program_gen.h).
 // BatchTrapSmoke pins that a data trap in one instance leaves every
 // other instance of the step reacting, at one thread and at four.
-// BatchPageSmoke drives the instances on either side of each
-// 1024-record page edge through inputs, park, reset and restore;
+// BatchPageSmoke drives the instances on either side of each record
+// arena segment edge through inputs, park, reset and restore;
 // BatchLastResultSmoke pins when lastResult() has a reaction to report;
 // BatchStagingSmoke that a rejected input stages nothing.
 // BatchOrderSmoke pins that a step's outcome does not depend on the order
@@ -38,13 +38,13 @@
 
 #include "src/core/compiler.h"
 #include "src/core/paper_sources.h"
-#include "tests/ecl_program_gen.h"
+#include "src/corpus/program_gen.h"
 #include "tests/ecl_test_util.h"
 
 namespace {
 
 using namespace ecl;
-using test::ProgramGen;
+using corpus::ProgramGen;
 
 // --- module corpus -----------------------------------------------------------
 
@@ -472,16 +472,22 @@ TEST(BatchTrapSmoke, TrapInOneInstanceLeavesTheOthersReacting)
         GTEST_SKIP() << "AOT native backend unavailable; VM checked only";
 }
 
-// --- page edges and lastResult ----------------------------------------------
+// --- segment edges and lastResult -------------------------------------------
 
-// The instance on each side of every page edge (records sit in pages of
-// 1024), and the last instance, alone on its page.
-constexpr std::size_t kPagedInstances = 3 * 1024 + 1;
-constexpr std::size_t kEdges[] = {1023, 1024, 2047, 2048, 3072};
-/// Their page neighbours, which also get traffic; kDonors[k] is what
-/// kEdges[k] is restored from.
-constexpr std::size_t kNeighbours[] = {0, 1, 1022, 1025, 2046, 2049, 3071};
-constexpr std::size_t kDonors[] = {2049, 1022, 0, 3071, 1};
+// The instance on each side of every segment edge, and the last instance,
+// alone in its segment. The protocol stack's records are 280 bytes on the
+// VM and 232 native, so an rt::RecordArena segment holds 2,048 or 4,096
+// of them: the edges below are both backends' (the native ones every
+// second pair).
+constexpr std::size_t kPagedInstances = 4 * 2048 + 1;
+constexpr std::size_t kEdges[] = {2047, 2048, 4095, 4096,
+                                  6143, 6144, 8191, 8192};
+/// Their segment neighbours, which also get traffic; kDonors[k] is what
+/// kEdges[k] is restored from, in another segment on either backend.
+constexpr std::size_t kNeighbours[] = {0,    1,    2046, 2049, 4094,
+                                       4097, 6142, 6145, 8190};
+constexpr std::size_t kDonors[] = {4097, 6142, 8190, 2046,
+                                   1,    2049, 4094, 0};
 
 bool isEdge(std::size_t i)
 {
@@ -508,7 +514,7 @@ void expectSameReaction(const rt::ReactionResult& rb,
     EXPECT_EQ(rb.treeTests, ro.treeTests) << "inst " << inst;
     EXPECT_EQ(rb.actionsRun, ro.actionsRun) << "inst " << inst;
     EXPECT_EQ(rb.emitsRun, ro.emitsRun) << "inst " << inst;
-    expectCountersEqual(rb.dataCounters, ro.dataCounters, "page edge");
+    expectCountersEqual(rb.dataCounters, ro.dataCounters, "segment edge");
 }
 
 /// Every instance of `batch` against its mirror after one step: reacted
@@ -548,10 +554,11 @@ void expectMatchesMirrors(
     }
 }
 
-/// Instances on both sides of every page edge — and their neighbours —
-/// take packets of the protocol stack; the edges are parked, reset and
-/// restored from instances on other pages. After every step both batch
-/// engines (1 and 4 threads) must equal the independent single engines.
+/// Instances on both sides of every segment edge — and their neighbours
+/// — take packets of the protocol stack; the edges are parked, reset and
+/// restored from instances in other segments. After every step both
+/// batch engines (1 and 4 threads) must equal the independent single
+/// engines.
 void checkPageEdges(EngineKind kind)
 {
     Compiler compiler(paper::protocolStackSource());
@@ -569,6 +576,10 @@ void checkPageEdges(EngineKind kind)
     for (int threads : {1, 4})
         batches.push_back(mod->makeBatchEngine(kPagedInstances,
                                                {.threads = threads}, kind));
+    // A record plus 7 bytes of scheduling rows: when the records change
+    // size, kEdges must move to the new segment edges.
+    ASSERT_EQ(batches[0]->bytesPerInstance(),
+              kind == EngineKind::Native ? 239u : 287u);
     auto replay = [&](Mirror& m, const std::vector<int>& fed) {
         m.eng = mod->makeEngine(kind);
         for (int b : fed) {
@@ -657,9 +668,10 @@ TEST(BatchPageSmoke, NativeInstancesAcrossPageEdges)
     checkPageEdges(EngineKind::Native);
 }
 
-// A 4 MiB instance gets a page of its own (1024 records of it would be
-// 4 GiB): instances on consecutive pages react, stage, reset and restore
-// independently, each equal to a single engine fed the same values.
+// A 4 MiB instance gets an arena segment of its own (1024 records of it
+// would be 4 GiB): instances in consecutive segments react, stage, reset
+// and restore independently, each equal to a single engine fed the same
+// values.
 TEST(BatchPageSmoke, BigRecordsGetAPageEach)
 {
     Compiler compiler("module m (input int v, output int o) {\n"

@@ -557,15 +557,16 @@ TEST(EclcCli, DataPastTheCapExit1)
 #endif
 #endif
 
-/// Runs eclc with its address space capped at `kib` KiB (`ulimit -v`),
-/// stdout discarded and stderr captured into `err`. The sanitizers'
-/// shadow memory does not fit under such a cap, so their builds skip.
+/// Runs eclc with its address space capped at `kib` KiB (`ulimit -v`)
+/// and its time at 60 s (a hang exits 124), stdout discarded and stderr
+/// captured into `err`. The sanitizers' shadow memory does not fit under
+/// such a cap, so their builds skip.
 int runEclcLimited(const std::string& args, long kib, std::string& err)
 {
     const std::string errPath = ::testing::TempDir() + "eclc_limited.err";
-    const std::string cmd = "ulimit -v " + std::to_string(kib) + " && exec " +
-                            eclcPath() + " " + args + " > /dev/null 2> " +
-                            errPath;
+    const std::string cmd = "ulimit -v " + std::to_string(kib) +
+                            " && exec timeout 60 " + eclcPath() + " " + args +
+                            " > /dev/null 2> " + errPath;
     const int status = std::system(cmd.c_str());
     std::ifstream in(errPath);
     err.assign(std::istreambuf_iterator<char>(in),
@@ -612,6 +613,28 @@ TEST(EclcCli, OutOfMemoryExit1)
                              150'000, err),
               1);
     EXPECT_NE(err.find("eclc: out of memory"), std::string::npos) << err;
+}
+
+TEST(EclcCli, BitstateTableNoMachineBacksIsOutOfMemory)
+{
+#ifdef ECL_SANITIZED
+    GTEST_SKIP() << "address-space caps do not apply under sanitizers";
+#endif
+    // 2^60 and 2^61 bytes: the table is the largest power of two within
+    // the budget, which no machine backs, so the run fails like any
+    // other allocation. Its bit count must not wrap, to a doubling loop
+    // that never ends or to an 8-byte table.
+    for (const std::string budget : {"1073741824G", "2147483648G"}) {
+        std::string err;
+        EXPECT_EQ(runEclcLimited("--paper buffer --module blinker --verify "
+                                 "--store=bitstate --store-mem " +
+                                     budget,
+                                 1'000'000, err),
+                  1)
+            << budget << ": " << err;
+        EXPECT_NE(err.find("eclc: out of memory"), std::string::npos)
+            << budget << ": " << err;
+    }
 }
 
 } // namespace

@@ -28,12 +28,12 @@
 #include "src/core/paper_sources.h"
 #include "src/corpus/corpus.h"
 #include "src/opt/opt.h"
-#include "tests/ecl_program_gen.h"
+#include "src/corpus/program_gen.h"
 
 namespace {
 
 using namespace ecl;
-using test::ProgramGen;
+using corpus::ProgramGen;
 using corpus::Profile;
 using corpus::runStimulus;
 

@@ -1,6 +1,6 @@
 // Property-based tests.
 //
-// The seeded full-kernel-grammar generator (tests/ecl_program_gen.h)
+// The seeded full-kernel-grammar generator (src/corpus/program_gen.h)
 // produces random reactive programs — valued signals, variables and data
 // actions, trap/exit (reactive while + break), strong/weak preemption,
 // parallel branches carrying data; properties checked over random
@@ -20,12 +20,12 @@
 #include "src/core/compiler.h"
 #include "src/core/paper_sources.h"
 #include "src/corpus/corpus.h"
-#include "tests/ecl_program_gen.h"
+#include "src/corpus/program_gen.h"
 
 namespace {
 
 using namespace ecl;
-using test::ProgramGen;
+using corpus::ProgramGen;
 using corpus::Profile;
 using corpus::runStimulus;
 

@@ -129,6 +129,17 @@ TEST(EngineTest, InputApiValidation)
     }
 }
 
+TEST(BatchEngineTest, ThreadCountIsCapped)
+{
+    // Every worker owns a reactor, and all but one are OS threads: the
+    // worker pool refuses a count past rt::kMaxThreads before it starts
+    // a thread (a helper the throw left joinable would end the process).
+    Compiler compiler("module m (input pure p) { while (1) await (p); }");
+    auto mod = compiler.compile("m");
+    EXPECT_THROW((void)mod->makeBatchEngine(1, {.threads = rt::kMaxThreads + 1}),
+                 EclError);
+}
+
 TEST(EngineTest, ReactionCountersPopulated)
 {
     Compiler compiler("module m (input int v, output int o) {"
@@ -202,6 +213,33 @@ TEST(DifferentialTest, AbortNest)
         " } }";
     for (unsigned seed = 1; seed <= 5; ++seed)
         expectEnginesAgree(src, {"a", "b", "t"}, {"x", "y"}, seed, 60);
+}
+
+TEST(DifferentialTest, InstanceGuardRenamesEveryOperand)
+{
+    // Inlining an instance renames its formals inside a compound guard:
+    // gate's `a & ~b` becomes `p & ~q` in m.
+    Compiler compiler(
+        "module gate (input pure a, input pure b, output pure y) {"
+        " while (1) { await (a & ~b); emit (y); } }"
+        "module m (input pure p, input pure q, output pure z) {"
+        " gate (p, q, z); }");
+    auto mod = compiler.compile("m");
+    std::vector<std::unique_ptr<rt::ReactiveEngine>> engines;
+    engines.push_back(mod->makeEngine());
+    engines.push_back(mod->makeBaselineEngine());
+    for (const auto& eng : engines) {
+        SCOPED_TRACE(eng->backendName());
+        eng->react(); // boot
+        const std::vector<std::pair<std::vector<std::string>, bool>> steps = {
+            {{"p"}, true}, {{"p", "q"}, false}, {{"q"}, false},
+            {{}, false},   {{"p"}, true}};
+        for (const auto& [inputs, fires] : steps) {
+            for (const std::string& in : inputs) eng->setInput(in);
+            eng->react();
+            EXPECT_EQ(eng->outputPresent("z"), fires);
+        }
+    }
 }
 
 TEST(DifferentialTest, SuspendedCounting)

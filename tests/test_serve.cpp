@@ -597,6 +597,19 @@ TEST(ServeBackpressure, QueueFullIsTypedAndCounted)
     fleet.drainAll();
 }
 
+TEST(ServeAdmission, ThreadCountIsCapped)
+{
+    // A fleet clamps its threads to its shard count, which has no bound
+    // of its own: the worker pool refuses a count past rt::kMaxThreads
+    // before it starts a thread (a helper the throw left joinable would
+    // end the process).
+    serve::FleetOptions opts;
+    opts.shards = rt::kMaxThreads + 1;
+    opts.threads = rt::kMaxThreads + 1;
+    opts.queueCapacity = 4;
+    EXPECT_THROW(serve::ShardedFleet(compileStack(), opts), EclError);
+}
+
 TEST(ServeSubmit, TypedRejections)
 {
     auto mod = compileStack();

@@ -80,6 +80,48 @@ TEST(TraceTest, ValuedSignalTracked)
     EXPECT_NE(vcd.find("b110 "), std::string::npos); // 3*2 = 6
 }
 
+TEST(TraceTest, RecordingAnswersAsItsEngine)
+{
+    // Every query answers through the wrapper exactly as the engine it
+    // wraps — backend, presence, values, termination, auto-resume and the
+    // packed state — and the structural baseline, which cannot snapshot,
+    // refuses packState() through it too.
+    Compiler compiler("module m (input int v, output int o, output pure done)"
+                      " { int n;"
+                      "   while (n < 2) { await (v); n = n + 1;"
+                      "                   emit_v (o, v * 2); }"
+                      "   emit (done); }");
+    auto mod = compiler.compile("m");
+    const int o = mod->moduleSema().findSignal("o")->index;
+    const int done = mod->moduleSema().findSignal("done")->index;
+    std::vector<std::unique_ptr<rt::ReactiveEngine>> engines;
+    engines.push_back(mod->makeEngine());
+    engines.push_back(mod->makeEngine(EngineKind::TreeWalk));
+    engines.push_back(mod->makeBaselineEngine());
+    for (const auto& eng : engines) {
+        rt::RecordingEngine rec(*eng, "m");
+        SCOPED_TRACE(eng->backendName());
+        EXPECT_STREQ(rec.backendName(), eng->backendName());
+        for (int t = 0; t < 4; ++t) {
+            if (t > 0) rec.setInputScalar("v", t);
+            rec.react();
+            EXPECT_EQ(rec.outputPresent(o), eng->outputPresent(o));
+            EXPECT_EQ(rec.outputPresent(done), eng->outputPresent(done));
+            EXPECT_EQ(rec.outputValue(o).toInt(), eng->outputValue(o).toInt());
+            EXPECT_EQ(rec.terminated(), eng->terminated());
+            EXPECT_EQ(rec.needsAutoResume(), eng->needsAutoResume());
+            if (std::string(eng->backendName()) == "rc") {
+                EXPECT_THROW((void)rec.packState(), EclError);
+                EXPECT_THROW((void)eng->packState(), EclError);
+            } else {
+                EXPECT_EQ(rec.packState(), eng->packState());
+            }
+        }
+        EXPECT_TRUE(rec.terminated());
+        EXPECT_EQ(rec.outputValue(o).toInt(), 4);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Input-stream record/replay
 // ---------------------------------------------------------------------------

@@ -394,22 +394,6 @@ TEST(StateStore, FactoryBudgetSizesTheBitstateTableOnly)
               StateStore::make(StoreKind::Exact, 16)->memoryBytes());
 }
 
-TEST(StateStore, GenerationCountsMutatingInternsOnly)
-{
-    verify::ExactStore store(4);
-    const std::uint64_t g0 = store.generation();
-    std::uint32_t v = 1;
-    store.intern(reinterpret_cast<const std::uint8_t*>(&v));
-    EXPECT_EQ(store.generation(), g0 + 1);
-    store.intern(reinterpret_cast<const std::uint8_t*>(&v)); // dup: no bump
-    EXPECT_EQ(store.generation(), g0 + 1);
-    v = 2;
-    store.intern(reinterpret_cast<const std::uint8_t*>(&v));
-    EXPECT_EQ(store.generation(), g0 + 2);
-    (void)store.at(0); // reads never bump
-    EXPECT_EQ(store.generation(), g0 + 2);
-}
-
 /// An `n`-byte record (181 = the protocol stack's packed size) whose
 /// bytes all depend on `i`; it starts with `i` itself, so records of
 /// distinct `i` are distinct.
@@ -524,7 +508,7 @@ TEST(StateStore, CommitAndPlaceMatchIntern)
         EXPECT_EQ(split->memoryBytes(), interned->memoryBytes());
         if (!exact) continue;
         for (std::uint32_t id = 0; id < split->size(); id += 97)
-            EXPECT_EQ(0, std::memcmp(exact->record(id), interned->at(id),
+            EXPECT_EQ(0, std::memcmp(exact->at(id), interned->at(id),
                                      kBytes))
                 << "id " << id;
         for (std::uint32_t i = 0; i < 16000; i += 89) {
@@ -574,14 +558,14 @@ TEST(StateStore, ExactStoreSpansArenaSegmentsAndIndexGrowth)
     }
 }
 
-TEST(StateStore, RecordArenaNeverMovesARecord)
+TEST(RecordArena, NeverMovesARecord)
 {
     // 181-byte records, 4,096 to a segment: a fill of three segments and
     // one record reads back bit-exactly where it was written, and a
     // refill after clear() lands in the same segments at the same
     // addresses.
     constexpr std::size_t kBytes = 181;
-    verify::RecordArena arena(kBytes);
+    rt::RecordArena arena(kBytes);
     const std::uint32_t perSegment = arena.recordsPerSegment();
     EXPECT_EQ(perSegment, 4096u);
     const std::uint32_t n = 3 * perSegment + 1;
@@ -610,7 +594,7 @@ TEST(StateStore, RecordArenaNeverMovesARecord)
 
     // A record past 1 MiB gets a segment of its own.
     constexpr std::size_t kBig = std::size_t{3} << 20;
-    verify::RecordArena big(kBig);
+    rt::RecordArena big(kBig);
     EXPECT_EQ(big.recordsPerSegment(), 1u);
     std::uint8_t* first = big.push();
     first[kBig - 1] = 7;
@@ -843,14 +827,14 @@ TEST(VerifyOptions, RunIsSingleShot)
 TEST(VerifyOptions, ThreadCountIsCapped)
 {
     // Every worker is a VM plus per-level buffers, and all but one are
-    // OS threads: a typo must not start thousands. Construction alone
-    // decides; no run() here, so no thread ever starts.
+    // OS threads: a typo must not start thousands. The worker pool
+    // refuses a count past rt::kMaxThreads before it starts a thread (a
+    // helper the throw left joinable would end the process).
     auto mod = compileSrc(kPureSrc);
     verify::ExplorerOptions opts;
-    opts.threads = verify::kMaxThreads;
-    EXPECT_NO_THROW((void)mod->makeExplorer(opts));
-    opts.threads = verify::kMaxThreads + 1;
-    EXPECT_THROW((void)mod->makeExplorer(opts), EclError);
+    opts.threads = rt::kMaxThreads + 1;
+    auto ex = mod->makeExplorer(opts);
+    EXPECT_THROW((void)ex->run(), EclError);
 }
 
 TEST(VerifyOptions, ScalarDomainOverridePerSignal)
@@ -873,6 +857,51 @@ TEST(VerifyOptions, ScalarDomainOverridePerSignal)
     }
     EXPECT_TRUE(sawFive);
     EXPECT_FALSE(res.violated);
+}
+
+TEST(VerifyPredicates, SignalReadsAValuedSignalsSlot)
+{
+    // acc_out carries acc from the instant acc changes: a predicate over
+    // the signal's slot trips where one over the variable does
+    // (PredicateViolationWithReplay). A pure signal has no slot.
+    auto mod = compileSrc(kAccSrc);
+    const ModuleSema& sema = mod->moduleSema();
+    const int accOut = sema.findSignal("acc_out")->index;
+    verify::ExplorerOptions opts;
+    opts.maxDepth = 8;
+    auto ex = mod->makeExplorer(opts);
+    ex->addPredicate("acc_out_le_2", [accOut](const verify::StateView& s) {
+        return s.signal(accOut) > 2;
+    });
+    const verify::ExploreResult res = ex->run();
+    ASSERT_TRUE(res.violated);
+    EXPECT_EQ(res.violation.what, "acc_out_le_2");
+    EXPECT_EQ(res.trace.instants.size(), 4u);
+    const verify::StateView root(sema, ex->designLayout(), 0,
+                                 ex->stateStore().at(0) + 4);
+    EXPECT_EQ(root.signal(accOut), 0);
+    EXPECT_THROW((void)root.signal(sema.findSignal("go")->index), EclError);
+}
+
+TEST(VerifyPredicates, ValueMismatchPrintsBothValues)
+{
+    // A counterexample whose violation value was altered no longer
+    // replays, and the mismatch prints both values.
+    auto mod = compileSrc("module m (input int x, output int violation_x) {"
+                          " while (1) { await (x);"
+                          "   if (x > 0) emit_v (violation_x, x); } }");
+    verify::ExplorerOptions opts;
+    opts.maxDepth = 3;
+    verify::ExploreResult res = mod->makeExplorer(opts)->run();
+    ASSERT_TRUE(res.violated);
+    ASSERT_EQ(res.violation.value.toInt(), 1); // x's domain is {0, 1}
+    res.violation.value = Value::fromInt(res.violation.value.type(), 7);
+    auto engine = mod->makeEngine();
+    const verify::ReplayOutcome rp =
+        verify::replayCounterexample(*engine, nullptr, res);
+    EXPECT_FALSE(rp.reproduced);
+    EXPECT_NE(rp.detail.find("explorer 7 vs replay 1"), std::string::npos)
+        << rp.detail;
 }
 
 TEST(VerifyOptions, AlphabetTruncatedAtLetterCap)
@@ -1609,7 +1638,7 @@ TEST(VerifyArenaDeterminism, LevelsSpanRecordSegments)
             // one segment per worker.
             EXPECT_GT(res.stats.peakFrontier,
                       static_cast<std::uint64_t>(threads) *
-                          verify::RecordArena(ex->packedSize())
+                          rt::RecordArena(ex->packedSize())
                               .recordsPerSegment());
             if (kind != verify::StoreKind::Exact) continue;
             // What run() leaves, the store, re-interns into a fresh one.
@@ -1672,6 +1701,36 @@ TEST(VerifyPor, FinitePureParStateSetMatchesUnreduced)
     EXPECT_EQ(rr4.stats.states, rr.stats.states);
     EXPECT_EQ(rr4.stats.transitions, rr.stats.transitions);
     EXPECT_EQ(red4->stateDigest(), red->stateDigest());
+}
+
+TEST(VerifyPor, CompoundAssignmentsCommuteAtO0)
+{
+    // Unoptimized, `x += 3` and `x -= 2` compile to AddrVar, ConstInt,
+    // StoreCompound: the compound form of a commutative update. The byte
+    // wraps, so the state space is finite and both runs complete.
+    const char* src =
+        "typedef unsigned char byte;\n"
+        "module m (input pure a, input pure b) {"
+        " byte x;"
+        " while (1) {"
+        "  par { { await (a); x += 3; } { await (b); x -= 2; } }"
+        "  await ();"
+        " } }";
+    Compiler compiler(src);
+    CompileOptions copts;
+    copts.optLevel = 0;
+    auto mod = compiler.compile("m", copts);
+    auto base = mod->makeExplorer({});
+    const verify::ExploreResult rb = base->run();
+    ASSERT_TRUE(rb.stats.complete);
+    verify::ExplorerOptions opts;
+    opts.partialOrder = true;
+    auto red = mod->makeExplorer(opts);
+    const verify::ExploreResult rr = red->run();
+    ASSERT_TRUE(rr.stats.complete);
+    EXPECT_GT(rr.stats.lettersReduced, 0u);
+    EXPECT_LT(rr.stats.transitions, rb.stats.transitions);
+    EXPECT_EQ(explorerStates(*red), explorerStates(*base));
 }
 
 TEST(VerifyPor, CorpusScenariosAgreeWithUnreduced)
